@@ -48,7 +48,7 @@ def bottlenecked_large_object_world(seed=21) -> WorldSpec:
             bottleneck_fraction=0.55,
         ),
         config=sweep_config(max_crowd=55, min_clients=50),
-        stage_kinds=(StageKind.LARGE_OBJECT,),
+        stages=("LargeObject",),
         bottleneck_capacity_bps=2.5e6,  # far below the 1 Gbps server link
         seed=seed,
     )
@@ -205,7 +205,7 @@ def run_sync_ablation(naive, seed=41):
             jitter_range=(0.01, 0.04),
         ),
         config=sweep_config(max_crowd=45, step=45, min_clients=50),
-        stage_kinds=(StageKind.BASE,),
+        stages=("Base",),
         use_naive_scheduling=naive,
         seed=seed,
     ).build()

@@ -28,7 +28,7 @@ def run_experiment(seed=1):
             jitter_range=(0.01, 0.05),
         ),
         config=sweep_config(max_crowd=CROWD, step=CROWD, min_clients=50),
-        stage_kinds=[StageKind.BASE],
+        stages=("Base",),
         seed=seed,
     )
     result = runner.run()

@@ -22,7 +22,7 @@ def run_experiment(seed=3):
         lab_validation_server(),
         fleet_spec=lan_fleet(MAX_CROWD + 5),
         config=sweep_config(max_crowd=MAX_CROWD),
-        stage_kinds=[StageKind.LARGE_OBJECT],
+        stages=("LargeObject",),
         monitor_interval_s=1.0,
         seed=seed,
     )

@@ -24,7 +24,7 @@ def run_backend(backend_kind, seed=4):
         lab_validation_server(backend_kind),
         fleet_spec=lan_fleet(MAX_CROWD + 5),
         config=sweep_config(max_crowd=MAX_CROWD),
-        stage_kinds=[StageKind.SMALL_QUERY],
+        stages=("SmallQuery",),
         monitor_interval_s=1.0,
         seed=seed,
     )

@@ -31,7 +31,7 @@ def run_stage(kind, seed=7):
         qtp_cluster(),
         fleet_spec=FLEET,
         config=config,
-        stage_kinds=[kind],
+        stages=(kind.value,),
         control_loss_prob=0.02,  # a lossy control plane loses commands
         seed=seed,
     )

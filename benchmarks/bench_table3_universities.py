@@ -24,6 +24,7 @@ from repro.core.records import StageOutcome
 from repro.core.variants import mfc_mr_config
 from repro.server.presets import univ1_server, univ2_server, univ3_server
 from repro.workload.fleet import FleetSpec
+from repro.worlds import WorldSpec
 
 FLEET = FleetSpec(n_clients=82, unresponsive_fraction=0.05)
 UNIV3_RATES = (20.3, 18.7, 12.5)
@@ -39,33 +40,36 @@ def _mr_config():
 
 def university_jobs():
     """The five §4.2 runs as one campaign (all mutually independent)."""
-    jobs = [
-        JobSpec(
-            job_id="univ1|seed11",
-            scenario=univ1_server(),
-            fleet_spec=FleetSpec(n_clients=60, unresponsive_fraction=0.05),
-            config=MFCConfig(min_clients=50, max_crowd=50),
-            seed=11,
+    worlds = [
+        (
+            "univ1|seed11",
+            WorldSpec(
+                scenario=univ1_server(),
+                fleet=FleetSpec(n_clients=60, unresponsive_fraction=0.05),
+                config=MFCConfig(min_clients=50, max_crowd=50),
+                seed=11,
+            ),
         ),
-        JobSpec(
-            job_id="univ2|seed12",
-            scenario=univ2_server(),
-            fleet_spec=FLEET,
-            config=_mr_config(),
-            seed=12,
+        (
+            "univ2|seed12",
+            WorldSpec(
+                scenario=univ2_server(), fleet=FLEET, config=_mr_config(), seed=12
+            ),
         ),
     ]
     for rps in UNIV3_RATES:
-        jobs.append(
-            JobSpec(
-                job_id=f"univ3|bg{rps}|seed13",
-                scenario=univ3_server().with_background(rps),
-                fleet_spec=FLEET,
-                config=_mr_config(),
-                seed=13,
+        worlds.append(
+            (
+                f"univ3|bg{rps}|seed13",
+                WorldSpec(
+                    scenario=univ3_server().with_background(rps),
+                    fleet=FLEET,
+                    config=_mr_config(),
+                    seed=13,
+                ),
             )
         )
-    return jobs
+    return [JobSpec.from_world(job_id, world) for job_id, world in worlds]
 
 
 def run_all():

@@ -8,8 +8,8 @@ the wall-clock cost of the underlying experiment.
 The population and ablation benches run through the campaign engine:
 ``MFC_BENCH_JOBS`` sets the worker-process count (default: up to 8,
 bounded by the CPU count; ``1`` forces the sequential path) and
-``MFC_BENCH_CACHE=0`` disables the JSONL result cache under
-``benchmarks/results/cache/``.  Cache file names embed a fingerprint
+``MFC_BENCH_CACHE=0`` disables the result cache under
+``benchmarks/results/cache/``.  Cache directory names embed a fingerprint
 of the ``src/repro`` sources, so any code edit starts a fresh cache
 and benches never validate stale results — within one code state, a
 re-run reuses every finished experiment and an interrupted bench
@@ -56,10 +56,10 @@ def _code_fingerprint() -> str:
 
 
 def bench_cache(name: str):
-    """Per-bench JSONL result-store path (None when caching is off)."""
+    """Per-bench result-store directory (None when caching is off)."""
     if os.environ.get("MFC_BENCH_CACHE", "1").lower() in ("0", "no", "off"):
         return None
-    return RESULTS_DIR / "cache" / f"{name}-{_code_fingerprint()}.jsonl"
+    return RESULTS_DIR / "cache" / f"{name}-{_code_fingerprint()}.d"
 
 
 def emit(name: str, text: str) -> None:

@@ -199,9 +199,8 @@ def run_stage_study(
     *jobs* > 1 fans the sites over worker processes (*batch* worlds
     per worker task, auto-sized by default) and returns measurements
     identical to the sequential path.  *cache_path* points the
-    underlying campaign at a result store — a ``.jsonl`` file or a
-    shard directory — making an interrupted study resumable and
-    repeat runs free.
+    underlying campaign at a result-store shard directory, making an
+    interrupted study resumable and repeat runs free.
 
     Aggregation streams: each outcome is reduced to its few-field
     :class:`SiteMeasurement` as it lands and the decoded result is

@@ -5,13 +5,13 @@ independent, deterministic MFC worlds.  This package turns such grids
 into *campaigns*:
 
 - :mod:`repro.campaign.spec` — declarative grids expanded into
-  :class:`JobSpec` entries (world / scenario / callable payloads) with
+  :class:`JobSpec` entries (world / callable payloads) with
   stable SHA-256 job keys hashed by :mod:`repro.worlds.codec`;
 - :mod:`repro.campaign.executor` — a process-pool executor with a
   byte-identical sequential fallback;
-- :mod:`repro.campaign.store` — an append-only JSONL result store, so
-  interrupted campaigns resume without recomputation and repeated
-  benchmark runs hit cache;
+- :mod:`repro.campaign.store` — an append-only, sharded JSONL result
+  store, so interrupted campaigns resume without recomputation and
+  repeated benchmark runs hit cache;
 - :mod:`repro.campaign.codec` — JSON round-tripping of experiment
   records at ``summary`` or ``full`` (epoch-level) detail;
 - :mod:`repro.campaign.progress` — progress/ETA reporting.

@@ -1,4 +1,4 @@
-"""Campaign execution: sequential fallback, per-job pool, batched pool.
+"""Campaign execution: a sequential fallback and a batched worker pool.
 
 Every job rebuilds its world from scratch inside ``execute_job`` with
 an explicit seed, so a job's result is a pure function of its
@@ -11,15 +11,15 @@ return encoded results over the pool's pipe and the parent appends
 them as they complete, so an interrupted campaign keeps every job
 finished before the kill.
 
-Dispatch granularity is the 100k-world lever.  ``batch=1`` submits one
-pool task per job — the historical per-job path, whose per-task
-future/IPC bookkeeping and per-record ``fsync`` dominate once jobs
-shrink to milliseconds.  ``batch=None`` (auto) packs many small jobs
-into each worker task, sized by :func:`estimate_job_cost` so a batch
-amortizes the fixed dispatch cost without starving workers; the store
-then commits one fsync'd write per batch instead of per record.  The
-commit point is unchanged — a kill mid-batch loses only the lines not
-yet fully written, and a resume re-runs exactly those jobs.
+Dispatch granularity is the 100k-world lever: per-task future/IPC
+bookkeeping and per-record ``fsync`` dominate once jobs shrink to
+milliseconds.  The pool therefore packs several jobs into each worker
+task — ``batch=None`` (auto) sizes batches by :func:`estimate_job_cost`
+so a batch amortizes the fixed dispatch cost without starving workers,
+``batch=B`` fixes the size — and the store commits one fsync'd write
+per batch instead of per record.  The commit point is unchanged — a
+kill mid-batch loses only the lines not yet fully written, and a
+resume re-runs exactly those jobs.
 
 :func:`iter_campaign` is the streaming form: it yields each
 :class:`JobOutcome` as it lands (cached hits first, fresh results in
@@ -49,7 +49,6 @@ from repro.campaign.codec import (
 from repro.campaign.progress import ProgressReporter
 from repro.campaign.spec import CampaignSpec, JobSpec
 from repro.campaign.store import ResultStore
-from repro.core.runner import MFCRunner
 
 #: cost units one auto-sized batch aims for (~ simulated requests); a
 #: 100k-micro-world campaign packs hundreds of jobs per task while a
@@ -216,21 +215,11 @@ def _execute_with_policy(
 
 def execute_job(job: JobSpec, detail: str = SUMMARY) -> Dict:
     """Run one job in this process; return the encoded result."""
-    if job.world is not None:
-        runner = job.world.build()
-        return encode_result(runner.run(time_limit_s=job.time_limit_s), detail)
     if job.func is not None:
         module_name, _, func_name = job.func.partition(":")
         func = getattr(importlib.import_module(module_name), func_name)
         return encode_result(func(**job.kwargs), detail)
-    runner = MFCRunner.build(
-        job.scenario,
-        fleet_spec=job.fleet_spec,
-        config=job.config,
-        seed=job.seed,
-        stage_kinds=list(job.stage_kinds) if job.stage_kinds is not None else None,
-        **job.runner_kwargs,
-    )
+    runner = job.world.build()
     return encode_result(runner.run(time_limit_s=job.time_limit_s), detail)
 
 
@@ -251,42 +240,22 @@ def estimate_job_cost(job: JobSpec) -> float:
     """
     if job.func is not None:
         return FUNC_JOB_COST
-    planner_name = "linear"
-    hardened = False
-    crowd_mode = None
-    if job.world is not None:
-        if job.world.indicator:
-            return INDICATOR_JOB_COST
-        n_clients = job.world.fleet.n_clients
-        max_crowd = job.world.config.max_crowd
-        stages = (
-            job.world.stages
-            if job.world.stages is not None
-            else job.world.stage_kinds
-        )
-        if job.world.planner is not None:
-            planner_name = job.world.planner.name
-        hardened = (
-            job.world.faults is not None or bool(job.world.config.hardening)
-        )
-        crowd_mode = job.world.crowd_mode or job.world.config.crowd_mode
-    else:
-        n_clients = job.fleet_spec.n_clients if job.fleet_spec is not None else 65
-        max_crowd = job.config.max_crowd if job.config is not None else 50
-        stages = job.stage_kinds
-        if job.config is not None:
-            hardened = bool(job.config.hardening)
-            crowd_mode = job.config.crowd_mode
+    world = job.world
+    if world.indicator:
+        return INDICATOR_JOB_COST
     stage_factor = (
-        len(stages) / DEFAULT_STAGE_COUNT if stages else 1.0
+        len(world.stages) / DEFAULT_STAGE_COUNT if world.stages else 1.0
     )
+    planner_name = world.planner.name if world.planner is not None else "linear"
     planner_factor = PLANNER_COST_FACTOR.get(planner_name, 1.0)
+    crowd_mode = world.crowd_mode or world.config.crowd_mode
     mode_factor = COHORT_COST_FACTOR if crowd_mode == "cohort" else 1.0
+    hardened = world.faults is not None or bool(world.config.hardening)
     fault_factor = HARDENED_COST_FACTOR if hardened else 1.0
     return float(
         max(
-            n_clients
-            * max_crowd
+            world.fleet.n_clients
+            * world.config.max_crowd
             * stage_factor
             * planner_factor
             * mode_factor
@@ -312,16 +281,19 @@ def auto_batch_size(jobs: Sequence[JobSpec], workers: int) -> int:
     return max(1, min(size, MAX_BATCH_SIZE, balance_cap))
 
 
-def _pool_worker(
-    job: JobSpec, detail: str, policy: Optional[RetryPolicy] = None
-) -> Tuple[str, Dict, float]:
-    """Per-job pool entry point: (key, encoded result, elapsed)."""
+def _run_job(
+    job: JobSpec, detail: str, policy: Optional[RetryPolicy]
+) -> Tuple[Dict, float]:
+    """Run one job: ``(encoded result, elapsed)``.
+
+    Under an enabled *policy* a failing job returns a dead letter;
+    otherwise its exception propagates.
+    """
     if policy is not None and policy.enabled:
-        encoded, elapsed = _execute_with_policy(job, detail, policy)
-        return job.key, encoded, elapsed
+        return _execute_with_policy(job, detail, policy)
     started = time.monotonic()
     encoded = execute_job(job, detail)
-    return job.key, encoded, time.monotonic() - started
+    return encoded, time.monotonic() - started
 
 
 def _pool_worker_batch(
@@ -337,18 +309,12 @@ def _pool_worker_batch(
     campaign) always runs to completion.
     """
     results: List[Tuple[str, Dict, float]] = []
-    dead_letter = policy is not None and policy.enabled
     for job in jobs:
-        if dead_letter:
-            encoded, elapsed = _execute_with_policy(job, detail, policy)
-            results.append((job.key, encoded, elapsed))
-            continue
-        started = time.monotonic()
         try:
-            encoded = execute_job(job, detail)
+            encoded, elapsed = _run_job(job, detail, policy)
         except BaseException as exc:  # noqa: BLE001 - re-raised by parent
             return results, exc
-        results.append((job.key, encoded, time.monotonic() - started))
+        results.append((job.key, encoded, elapsed))
     return results, None
 
 
@@ -395,8 +361,7 @@ def iter_campaign(
     time on the consumer's behalf — this is the ≥100k-job path.
 
     *batch* sets how many jobs ride in one worker task (default: auto
-    by estimated job cost; 1 reproduces the historical per-job
-    dispatch, byte-identical results either way).
+    by estimated job cost; byte-identical results at any size).
 
     *job_timeout_s* / *retries* / *retry_backoff_s* enable dead-letter
     mode (see :class:`RetryPolicy`): a hung or repeatedly failing job
@@ -462,12 +427,7 @@ def iter_campaign(
             yield from land(done_job)
     else:
         for job in fresh:
-            if policy.enabled:
-                encoded, elapsed = _execute_with_policy(job, detail, policy)
-            else:
-                started = time.monotonic()
-                encoded = execute_job(job, detail)
-                elapsed = time.monotonic() - started
+            encoded, elapsed = _run_job(job, detail, policy)
             store.append(_record(job, encoded, detail, elapsed))
             if reporter is not None:
                 reporter.job_done()
@@ -498,10 +458,10 @@ def run_campaign(
     *jobs* > 1 fans pending work over a ``ProcessPoolExecutor``;
     ``None``/1 runs the sequential fallback in this process — the two
     paths produce identical results because every job world is
-    deterministic in its spec.  *store* (a :class:`ResultStore`, a
-    JSONL path, or a shard-directory path) makes the campaign
-    resumable: jobs whose key is already stored are returned from
-    cache without recomputation.  Jobs sharing a key (identical
+    deterministic in its spec.  *store* (a :class:`ResultStore` or a
+    shard-directory path) makes the campaign resumable: jobs whose key
+    is already stored are returned from cache without recomputation.
+    Jobs sharing a key (identical
     parameters) execute once.  *batch* controls pool dispatch
     granularity (see :func:`iter_campaign`).
 
@@ -565,55 +525,31 @@ def _run_pool(
     batches = _chunk(pending, batch)
     first_error: Optional[BaseException] = None
     with ProcessPoolExecutor(max_workers=min(workers, len(batches))) as pool:
-        if batch == 1:
-            # the historical per-job path, kept verbatim as the
-            # dispatch-overhead baseline (`campaign.worlds_per_s`
-            # A/Bs against it): one task and one fsync'd append per job
-            futures = {
-                pool.submit(_pool_worker, job, detail, policy)
-                for job in pending
-            }
-            while futures:
-                done, futures = wait(futures, return_when=FIRST_COMPLETED)
-                for future in done:
-                    try:
-                        key, encoded, elapsed = future.result()
-                    except BaseException as exc:  # noqa: BLE001
-                        if first_error is None:
-                            first_error = exc
-                            for queued in futures:
-                                queued.cancel()
-                        continue
-                    store.append(_record(by_key[key], encoded, detail, elapsed))
+        futures = {
+            pool.submit(_pool_worker_batch, chunk, detail, policy)
+            for chunk in batches
+        }
+        while futures:
+            done, futures = wait(futures, return_when=FIRST_COMPLETED)
+            for future in done:
+                try:
+                    results, error = future.result()
+                except BaseException as exc:  # noqa: BLE001
+                    results, error = [], exc
+                if results:
+                    store.append_batch(
+                        [
+                            _record(by_key[key], encoded, detail, elapsed)
+                            for key, encoded, elapsed in results
+                        ]
+                    )
                     if reporter is not None:
-                        reporter.job_done()
+                        reporter.job_done(len(results))
+                if error is not None and first_error is None:
+                    first_error = error
+                    for queued in futures:
+                        queued.cancel()
+                for key, _, _ in results:
                     yield by_key[key]
-        else:
-            futures = {
-                pool.submit(_pool_worker_batch, chunk, detail, policy)
-                for chunk in batches
-            }
-            while futures:
-                done, futures = wait(futures, return_when=FIRST_COMPLETED)
-                for future in done:
-                    try:
-                        results, error = future.result()
-                    except BaseException as exc:  # noqa: BLE001
-                        results, error = [], exc
-                    if results:
-                        store.append_batch(
-                            [
-                                _record(by_key[key], encoded, detail, elapsed)
-                                for key, encoded, elapsed in results
-                            ]
-                        )
-                        if reporter is not None:
-                            reporter.job_done(len(results))
-                    if error is not None and first_error is None:
-                        first_error = error
-                        for queued in futures:
-                            queued.cancel()
-                    for key, _, _ in results:
-                        yield by_key[key]
     if first_error is not None:
         raise first_error

@@ -9,15 +9,12 @@ execution-relevant parameters.  The key is what makes campaigns
 resumable — an interrupted run skips every job whose key is already in
 the result store, and repeated benchmark runs hit cache.
 
-Three job payloads exist:
+Two job payloads exist:
 
 - **world jobs** carry a declarative
-  :class:`~repro.worlds.spec.WorldSpec` verbatim — the preferred
-  payload: anything the world layer can describe (preset scenarios,
-  ablation topologies, named synthetic servers) is campaignable;
-- **scenario jobs** rebuild an :class:`~repro.core.runner.MFCRunner`
-  world from ``(scenario, fleet, config, seed, ...)`` fields — the
-  historical §4/§5 payload, kept so existing job keys stay stable;
+  :class:`~repro.worlds.spec.WorldSpec` verbatim: anything the world
+  layer can describe (preset scenarios, ablation topologies, named
+  synthetic servers, indicator passes) is campaignable;
 - **callable jobs** name a module-level function (``"pkg.mod:func"``)
   and JSON-able kwargs — the residual escape hatch for jobs that
   post-process a world beyond its ``MFCResult`` (e.g. the
@@ -55,31 +52,19 @@ class JobSpec:
     """One independent unit of campaign work."""
 
     job_id: str
-    #: scenario-job payload
-    scenario: Optional[Scenario] = None
-    stage_kinds: Optional[Tuple[StageKind, ...]] = None
-    config: Optional[MFCConfig] = None
-    fleet_spec: Optional[FleetSpec] = None
-    seed: int = 0
-    #: extra MFCRunner.build knobs (use_naive_scheduling, ...)
-    runner_kwargs: Dict = field(default_factory=dict)
-    time_limit_s: float = 1e7
+    #: world-job payload: a declarative world, carried verbatim
+    world: Optional[WorldSpec] = None
     #: callable-job payload: ``"package.module:function"``
     func: Optional[str] = None
     kwargs: Dict = field(default_factory=dict)
-    #: world-job payload: a declarative world, carried verbatim
-    world: Optional[WorldSpec] = None
+    time_limit_s: float = 1e7
     #: passthrough labels (site_id, stratum, ...) — never hashed
     meta: Dict = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        payloads = [
-            p for p in (self.scenario, self.func, self.world) if p is not None
-        ]
-        if len(payloads) != 1:
+        if (self.world is None) == (self.func is None):
             raise ValueError(
-                f"job {self.job_id!r} needs exactly one of scenario=, "
-                "func= or world="
+                f"job {self.job_id!r} needs exactly one of world= or func="
             )
         if self.func is not None and ":" not in self.func:
             raise ValueError(f"func must look like 'pkg.mod:callable': {self.func!r}")
@@ -89,27 +74,19 @@ class JobSpec:
         """Stable identity of this job's execution parameters."""
         cached = self.__dict__.get("_key")
         if cached is None:
-            payload = {
-                # simulator behaviour can change between releases;
-                # versioning the key keeps old stores from silently
-                # replaying stale results (wipe the store, or bump
-                # __version__, after behavioural changes mid-release)
-                "repro_version": __version__,
-                "scenario": self.scenario,
-                "stage_kinds": self.stage_kinds,
-                "config": self.config,
-                "fleet_spec": self.fleet_spec,
-                "seed": self.seed,
-                "runner_kwargs": self.runner_kwargs,
-                "time_limit_s": self.time_limit_s,
-                "func": self.func,
-                "kwargs": self.kwargs,
-            }
-            # only present for world jobs, so pre-existing scenario and
-            # callable job keys stay byte-stable across releases
-            if self.world is not None:
-                payload["world"] = self.world
-            cached = stable_key(payload)
+            cached = stable_key(
+                {
+                    # simulator behaviour can change between releases;
+                    # versioning the key keeps old stores from silently
+                    # replaying stale results (wipe the store, or bump
+                    # __version__, after behavioural changes mid-release)
+                    "repro_version": __version__,
+                    "world": self.world,
+                    "func": self.func,
+                    "kwargs": self.kwargs,
+                    "time_limit_s": self.time_limit_s,
+                }
+            )
             self.__dict__["_key"] = cached
         return cached
 
@@ -192,23 +169,20 @@ class CampaignSpec:
         historical study seeding — otherwise the base seed is used
         unchanged for every scenario.
 
-        Stage entries may be legacy :class:`StageKind` members or
-        registry stage *names* ("Upload", "CacheBust", ...); *planners*
-        adds an epoch-strategy axis of ``(label, PlannerSpec or
-        None)`` pairs.  A ``StageKind`` entry under the default planner
-        expands to the historical scenario-job payload — its stable key
-        is byte-identical to every store written before stages were
-        pluggable — while named stages and non-default planners expand
-        to declarative world jobs.
+        Stage entries are registry stage *names* ("Base", "Upload",
+        ...) or :class:`StageKind` members (read as their names);
+        *planners* adds an epoch-strategy axis of ``(label,
+        PlannerSpec or None)`` pairs.  Every cell is a declarative
+        world job running its one stage.
         """
         rows = _normalize_scenarios(scenarios)
         # runner_kwargs carries extra world knobs (use_naive_scheduling,
         # monitor_interval_s, ...); axes the grid manages itself must
-        # come through their own parameters on every cell type
+        # come through their own parameters
         reserved = sorted(
             set(runner_kwargs or {})
             & {"scenario", "fleet", "fleet_spec", "config", "seed",
-               "stage_kinds", "stages", "planner"}
+               "stages", "planner"}
         )
         if reserved:
             raise ValueError(
@@ -221,76 +195,50 @@ class CampaignSpec:
                 for planner_label, planner in planners:
                     # an explicit default-linear entry IS the default:
                     # fold it so the cell shares the default cell's key
-                    # (and, for StageKind stages, its legacy payload)
                     if planner is not None and planner == PlannerSpec():
                         planner = None
+                    planner_tag = "" if planner is None else f"|{planner_label}"
                     for stage in stages:
-                        legacy = isinstance(stage, StageKind) and planner is None
                         stage_name = (
                             stage.value
                             if isinstance(stage, StageKind)
                             else stage_named(stage).name
                         )
                         for index, (sid, scenario, extra) in enumerate(rows):
-                            seed = (
-                                derive_site_seed(base_seed, index)
-                                if per_site_seeding
-                                else base_seed
+                            world = WorldSpec(
+                                scenario=scenario,
+                                fleet=(
+                                    fleet_spec
+                                    if fleet_spec is not None
+                                    else FleetSpec()
+                                ),
+                                config=config if config is not None else MFCConfig(),
+                                seed=(
+                                    derive_site_seed(base_seed, index)
+                                    if per_site_seeding
+                                    else base_seed
+                                ),
+                                stages=(stage_name,),
+                                planner=planner,
+                                **dict(runner_kwargs or {}),
                             )
-                            planner_tag = (
-                                "" if planner is None else f"|{planner_label}"
+                            jobs.append(
+                                JobSpec.from_world(
+                                    f"{sid}|{stage_name}|{variant_name}"
+                                    f"|seed{base_seed}{planner_tag}",
+                                    world,
+                                    time_limit_s=time_limit_s,
+                                    meta={
+                                        "scenario_id": sid,
+                                        "stage": stage_name,
+                                        "variant": variant_name,
+                                        "planner": planner_label,
+                                        "base_seed": base_seed,
+                                        "index": index,
+                                        **extra,
+                                    },
+                                )
                             )
-                            job_id = (
-                                f"{sid}|{stage_name}|{variant_name}"
-                                f"|seed{base_seed}{planner_tag}"
-                            )
-                            meta = {
-                                "scenario_id": sid,
-                                "stage": stage_name,
-                                "variant": variant_name,
-                                "planner": planner_label,
-                                "base_seed": base_seed,
-                                "index": index,
-                                **extra,
-                            }
-                            if legacy:
-                                jobs.append(
-                                    JobSpec(
-                                        job_id=job_id,
-                                        scenario=scenario,
-                                        stage_kinds=(stage,),
-                                        config=config,
-                                        fleet_spec=fleet_spec,
-                                        seed=seed,
-                                        runner_kwargs=dict(runner_kwargs or {}),
-                                        time_limit_s=time_limit_s,
-                                        meta=meta,
-                                    )
-                                )
-                            else:
-                                world = WorldSpec(
-                                    scenario=scenario,
-                                    fleet=(
-                                        fleet_spec
-                                        if fleet_spec is not None
-                                        else FleetSpec()
-                                    ),
-                                    config=(
-                                        config if config is not None else MFCConfig()
-                                    ),
-                                    seed=seed,
-                                    stages=(stage_name,),
-                                    planner=planner,
-                                    **dict(runner_kwargs or {}),
-                                )
-                                jobs.append(
-                                    JobSpec.from_world(
-                                        job_id,
-                                        world,
-                                        time_limit_s=time_limit_s,
-                                        meta=meta,
-                                    )
-                                )
         return cls(name=name, jobs=jobs)
 
     @classmethod

@@ -1,4 +1,4 @@
-"""Resumable result store: legacy single-file JSONL or key-range shards.
+"""Resumable result store: a directory of key-range JSONL shards.
 
 One line per finished job:
 
@@ -11,17 +11,12 @@ so resuming is always safe.  A ``"full"``-detail record satisfies a
 ``"summary"`` lookup (it is a superset); when both exist for one key,
 the fuller record wins.
 
-Two on-disk layouts share that contract:
-
-- **legacy single file** — a ``*.jsonl`` path holds every record, the
-  PR-1 format; existing caches keep loading unchanged;
-- **sharded directory** — any other path becomes a directory of
-  ``shard-NN.jsonl`` files, records routed by the leading bytes of
-  their job key.  Shard indexes load lazily (a lookup touches only the
-  one shard its key routes to) and :meth:`append_batch` commits a
-  whole worker batch with one write + one ``fsync`` per touched shard,
-  which is what keeps 100k-job campaigns off the per-record fsync
-  path.
+A store path is a directory of ``shard-NN.jsonl`` files, records
+routed by the leading bytes of their job key.  Shard indexes load
+lazily (a lookup touches only the one shard its key routes to) and
+:meth:`append_batch` commits a whole worker batch with one write + one
+``fsync`` per touched shard, which is what keeps 100k-job campaigns off
+the per-record fsync path.
 
 :meth:`compact` rewrites shards in place, dropping torn/corrupt lines
 and superseded duplicates (summary records shadowed by a full record,
@@ -38,9 +33,10 @@ from typing import Dict, Iterable, Iterator, List, Optional, Tuple, Union
 
 from repro.campaign.codec import FULL
 
-#: shard count of a directory-backed store; shard-NN names are
-#: zero-padded to two digits, so keep this <= 100
+#: shard count of a store; shard-NN names are zero-padded to two
+#: digits, so keep this <= 100
 N_SHARDS = 16
+
 
 def shard_index(key: str, n_shards: int = N_SHARDS) -> int:
     """Route a job key to its shard (stable across runs and platforms)."""
@@ -88,11 +84,9 @@ def _load_lines(path: Path) -> Tuple[List[Dict], int, bool]:
 class ResultStore:
     """Append-only result cache keyed by stable job hash.
 
+    *path* is the shard directory, created on the first append;
     ``path=None`` gives an in-memory store: same interface, nothing
-    persisted — the executor uses one when no cache file is wanted.
-    A ``*.jsonl`` path (or an existing regular file) selects the
-    legacy single-file layout; any other path selects the sharded
-    directory layout.
+    persisted — the executor uses one when no cache is wanted.
     """
 
     def __init__(
@@ -101,37 +95,30 @@ class ResultStore:
         n_shards: int = N_SHARDS,
     ) -> None:
         self.path = Path(path) if path is not None else None
-        self.sharded = (
-            self.path is not None
-            and not self.path.is_file()
-            and (self.path.is_dir() or self.path.suffix != ".jsonl")
-        )
-        self.n_shards = n_shards if self.sharded else 1
+        if self.path is not None and self.path.is_file():
+            # fail before a campaign computes anything it could not commit
+            raise ValueError(
+                f"result store {self.path} is a file; a store is a "
+                "directory of shard files"
+            )
+        self.n_shards = n_shards
         #: per-shard key → record maps; a shard is absent until loaded
         self._shards: Dict[int, Dict[str, Dict]] = {}
-        if self.path is None:
-            self._shards[0] = {}
 
     # -- layout ---------------------------------------------------------------
 
     def _shard_of(self, key: str) -> int:
-        return shard_index(key, self.n_shards) if self.sharded else 0
+        return shard_index(key, self.n_shards)
 
     def shard_path(self, shard: int) -> Optional[Path]:
         """On-disk file backing *shard* (None for in-memory stores)."""
         if self.path is None:
             return None
-        if not self.sharded:
-            return self.path
         return self.path / f"shard-{shard:02d}.jsonl"
 
     def shard_paths(self) -> List[Path]:
         """Every shard file that exists on disk."""
-        if self.path is None:
-            return []
-        if not self.sharded:
-            return [self.path] if self.path.exists() else []
-        if not self.path.is_dir():
+        if self.path is None or not self.path.is_dir():
             return []
         return sorted(self.path.glob("shard-*.jsonl"))
 
@@ -221,10 +208,7 @@ class ResultStore:
             by_shard.setdefault(shard, []).append(record)
         if self.path is None:
             return
-        if self.sharded:
-            self.path.mkdir(parents=True, exist_ok=True)
-        else:
-            self.path.parent.mkdir(parents=True, exist_ok=True)
+        self.path.mkdir(parents=True, exist_ok=True)
         for shard, batch in sorted(by_shard.items()):
             lines = "".join(
                 json.dumps(record, separators=(",", ":")) + "\n"
@@ -338,15 +322,8 @@ class ResultStore:
                 os.fsync(fh.fileno())
             os.replace(tmp, path)
             stats["bytes_after"] += path.stat().st_size
-            # refresh the in-memory view of this file's records
-            if self.sharded:
-                try:
-                    index = int(path.stem.split("-", 1)[1])
-                except (IndexError, ValueError):
-                    index = None
-                if index is not None:
-                    self._shards.pop(index, None)
-            else:
-                self._shards.pop(0, None)
+        if self.path is not None:
+            # every record is on disk: reload shards lazily from the rewrite
+            self._shards.clear()
         stats["bytes_reclaimed"] = stats["bytes_before"] - stats["bytes_after"]
         return stats

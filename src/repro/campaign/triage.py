@@ -6,7 +6,7 @@ MFC probe burns hundreds to thousands of requests per site — and at
 survey scale most sites are *clean*: every stage ramps to the crowd
 cap and reports NoStop, the most expensive possible answer.
 
-Triage splits a campaign into two resumable phases over one sharded
+Triage splits a campaign into two resumable phases over one result
 store:
 
 - **Phase 1 — indicator sweep.**  One near-free
@@ -124,9 +124,7 @@ class TriageRecord:
 def indicator_world(world: WorldSpec) -> WorldSpec:
     """The phase-1 twin of *world*: same site, seed and config, but
     running the indicator pass instead of MFC stages."""
-    return replace(
-        world, indicator=True, stages=None, stage_kinds=None, planner=None
-    )
+    return replace(world, indicator=True, stages=None, planner=None)
 
 
 def plan_triage_jobs(

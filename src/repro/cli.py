@@ -6,22 +6,22 @@
     python -m repro run qtnp --threshold-ms 100 --max-crowd 55 --seed 1
     python -m repro run univ3 --mr 2 --threshold-ms 250 --background 20.3
     python -m repro run univ2 --mr 2 --threshold-ms 250 --stage Base
-    python -m repro run qtnp --stages Upload --stages CacheBust
+    python -m repro run qtnp --stage Upload --stage CacheBust
     python -m repro run qtnp --planner bisect --max-crowd 150
-    python -m repro run qtnp --jobs 3 --cache /tmp/qtnp.jsonl
+    python -m repro run qtnp --jobs 3 --cache /tmp/qtnp.d
     python -m repro run qtnp --faults stall --faults report-loss
     python -m repro spec dump qtnp --max-crowd 55 --seed 1 > world.json
     python -m repro run --spec world.json
-    python -m repro campaign quantcast --scale 0.1 --jobs 8 --cache /tmp/qc.jsonl
+    python -m repro campaign quantcast --scale 0.1 --jobs 8 --cache /tmp/qc.d
     python -m repro campaign quantcast --jobs 8 --job-timeout 300 --retries 1
-    python -m repro campaign --fsck /tmp/qc.cache
+    python -m repro campaign --fsck /tmp/qc.d
     python -m repro chaos --quick
     python -m repro perf --quick --check --max-regression 0.25
 
 ``run`` prints the experiment summary and the inferred constraint
 report, and exits non-zero if the experiment aborted (e.g. too few
 live clients).  ``stages`` lists every registered probe stage and
-epoch-planner strategy; ``run --stages``/``--planner`` select them by
+epoch-planner strategy; ``run --stage``/``--planner`` select them by
 name.  ``spec dump`` exports a preset as a declarative
 :class:`~repro.worlds.spec.WorldSpec` JSON document, which ``run
 --spec`` — after any hand edits — turns back into a runnable world.
@@ -41,10 +41,11 @@ from typing import List, Optional
 
 from repro.campaign.executor import run_campaign
 from repro.campaign.spec import CampaignSpec, JobSpec
+from repro.campaign.store import ResultStore
 from repro.core.config import MFCConfig
 from repro.core.epochs import PLANNERS, PlannerSpec
 from repro.core.inference import infer_constraints
-from repro.core.stages import STAGES, StageKind
+from repro.core.stages import DEFAULT_STAGE_NAMES, STAGES, StageKind
 from repro.core.variants import mfc_mr_config, staggered_config
 from repro.faults.spec import FAULT_PRESETS, fault_spec_from_names
 from repro.workload.fleet import FleetSpec
@@ -53,8 +54,6 @@ from repro.worlds import codec as world_codec
 
 #: historical alias — the preset registry lives in the world layer now
 SCENARIOS = SCENARIO_PRESETS
-
-STAGE_NAMES = {kind.value.lower(): kind for kind in StageKind}
 
 POPULATIONS = ("quantcast", "startups", "phishing")
 
@@ -88,9 +87,10 @@ def build_parser() -> argparse.ArgumentParser:
                      help="run each stage as its own world, N in parallel "
                           "(any value, even 1, switches to per-stage "
                           "worlds; default: all stages share one world)")
-    run.add_argument("--cache", default=None, metavar="PATH",
-                     help="JSONL result store for --jobs runs (requires "
-                          "--jobs): finished stages are never recomputed")
+    run.add_argument("--cache", default=None, metavar="DIR",
+                     help="result store directory for --jobs runs "
+                          "(requires --jobs): finished stages are never "
+                          "recomputed")
     run.add_argument("--quiet", action="store_true",
                      help="print only the one-line stage outcomes")
 
@@ -116,8 +116,9 @@ def build_parser() -> argparse.ArgumentParser:
                           help="population to measure (optional with "
                                "--compact)")
     campaign.add_argument("--stage", action="append", default=None,
-                          choices=sorted(STAGE_NAMES),
-                          help="stage(s) to measure (repeatable; default: base)")
+                          choices=sorted(DEFAULT_STAGE_NAMES), metavar="NAME",
+                          help="paper stage to measure: Base, SmallQuery "
+                               "or LargeObject (repeatable; default: Base)")
     campaign.add_argument("--scale", type=float, default=0.1,
                           help="population scale (default 0.1): <= 1 shrinks "
                                "the paper's site counts, > 1 switches "
@@ -134,14 +135,11 @@ def build_parser() -> argparse.ArgumentParser:
                           help="worker processes (default: sequential)")
     campaign.add_argument("--batch", type=int, default=None, metavar="B",
                           help="worlds per worker task (default: auto-sized "
-                               "by estimated world cost; 1 = per-job "
-                               "dispatch)")
-    campaign.add_argument("--cache", default=None, metavar="PATH",
-                          help="result store: a *.jsonl path is a legacy "
-                               "single file, any other path a sharded "
-                               "directory of shard-NN.jsonl files; an "
-                               "interrupted campaign resumes from it "
-                               "without recomputation")
+                               "by estimated world cost)")
+    campaign.add_argument("--cache", default=None, metavar="DIR",
+                          help="result store directory of shard-NN.jsonl "
+                               "files; an interrupted campaign resumes "
+                               "from it without recomputation")
     campaign.add_argument("--compact", default=None, metavar="CACHE",
                           help="compact a result store in place (drop "
                                "superseded and corrupt lines, report bytes "
@@ -322,7 +320,6 @@ _WORLD_FLAG_DEFAULTS = {
     "mr": 1,
     "stagger_ms": None,
     "stage": None,
-    "stages": None,
     "planner": None,
     "background": None,
     "seed": 0,
@@ -350,14 +347,10 @@ def _add_world_arguments(parser) -> None:
     parser.add_argument("--stagger-ms", type=float, default=d["stagger_ms"],
                         help="staggered MFC: one arrival per this many ms")
     parser.add_argument("--stage", action="append", default=d["stage"],
-                        choices=sorted(STAGE_NAMES),
-                        help="restrict to a paper stage (repeatable; "
-                             "default: all)")
-    parser.add_argument("--stages", action="append", default=d["stages"],
                         choices=sorted(STAGES), metavar="NAME",
-                        help="registry-named probe stage to run, in order "
-                             "(repeatable; see `repro stages`); cannot be "
-                             "combined with --stage")
+                        help="probe stage to run, in order (repeatable; "
+                             "see `repro stages`; default: Base, "
+                             "SmallQuery, LargeObject)")
     parser.add_argument("--planner", default=d["planner"],
                         choices=sorted(PLANNERS),
                         help="epoch-progression strategy (default: the "
@@ -426,7 +419,7 @@ def cmd_list(args) -> int:
 
 def cmd_stages(args) -> int:
     """List registered probe stages and epoch-planner strategies."""
-    print("Probe stages (run with `repro run <scenario> --stages NAME`):")
+    print("Probe stages (run with `repro run <scenario> --stage NAME`):")
     for name, stage in STAGES.items():
         recipe = stage.method.value
         if stage.body_bytes:
@@ -470,7 +463,6 @@ def _inventory() -> dict:
         }
     return {
         "scenarios": scenarios,
-        "stage_kinds": [kind.value for kind in StageKind],
         "probe_stages": {
             name: {
                 "method": stage.method.value,
@@ -503,10 +495,7 @@ def _world_from_args(args, scenario) -> WorldSpec:
         fleet=FleetSpec(n_clients=args.clients),
         config=_build_config(args),
         seed=args.seed,
-        stage_kinds=(
-            tuple(STAGE_NAMES[s] for s in args.stage) if args.stage else None
-        ),
-        stages=tuple(args.stages) if args.stages else None,
+        stages=tuple(args.stage) if args.stage else None,
         planner=PlannerSpec(name=args.planner) if args.planner else None,
         background_rps=args.background,
         faults=fault_spec_from_names(args.faults) if args.faults else None,
@@ -524,23 +513,11 @@ def _report_result(result, quiet: bool) -> int:
     return 1 if result.aborted else 0
 
 
-def _check_stage_flags(args, prog: str) -> Optional[int]:
-    """Shared guard: --stage (paper kinds) xor --stages (registry names)."""
-    if args.stage and args.stages:
-        print(f"{prog}: give --stage (paper kinds) or --stages "
-              "(registry names), not both", file=sys.stderr)
-        return 2
-    return None
-
-
 def cmd_run(args) -> int:
     if (args.scenario is None) == (args.spec is None):
         print("repro run: give exactly one of a scenario or --spec",
               file=sys.stderr)
         return 2
-    bad = _check_stage_flags(args, "repro run")
-    if bad is not None:
-        return bad
     # --jobs (any value, even 1) selects the per-stage campaign path,
     # so sweeping N never changes experiment semantics; the shared
     # single-world path has no job grid, so --cache alone is an error
@@ -587,9 +564,6 @@ def cmd_run(args) -> int:
 
 def cmd_spec(args) -> int:
     if args.spec_command == "dump":
-        bad = _check_stage_flags(args, "repro spec dump")
-        if bad is not None:
-            return bad
         world = _world_from_args(args, SCENARIOS[args.scenario]())
         text = world.to_json()
         if args.out is not None:
@@ -612,25 +586,13 @@ def _run_stages_campaign(args, world: WorldSpec) -> int:
     """
     import dataclasses
 
-    if world.stages is not None:
-        # registry-named selection: per-stage worlds by name
-        names = list(world.stages)
-        worlds = [
-            dataclasses.replace(world, stages=(name,)) for name in names
-        ]
-    else:
-        # legacy kind selection, kept byte-identical so existing
-        # ``--jobs --cache`` stores keep serving their job keys
-        kinds = world.stage_kinds if world.stage_kinds else tuple(StageKind)
-        names = [kind.value for kind in kinds]
-        worlds = [
-            dataclasses.replace(world, stage_kinds=(kind,)) for kind in kinds
-        ]
+    names = list(world.stages or DEFAULT_STAGE_NAMES)
     job_specs = [
         JobSpec.from_world(
-            f"{args.scenario}|{name}|seed{world.seed}", stage_world
+            f"{args.scenario}|{name}|seed{world.seed}",
+            dataclasses.replace(world, stages=(name,)),
         )
-        for name, stage_world in zip(names, worlds)
+        for name in names
     ]
     spec = CampaignSpec(name=f"run-{args.scenario}", jobs=job_specs)
     outcomes = run_campaign(
@@ -677,11 +639,9 @@ def cmd_campaign(args) -> int:
     )
 
     if args.fsck is not None:
-        from repro.campaign.store import ResultStore
-
-        store = ResultStore(args.fsck)
+        store = args.fsck
         if not store.shard_paths():
-            print(f"repro campaign --fsck: no store at {args.fsck}",
+            print(f"repro campaign --fsck: no store at {store.path}",
                   file=sys.stderr)
             return 1
         report = store.fsck()
@@ -716,11 +676,9 @@ def cmd_campaign(args) -> int:
             return 1
         return 0
     if args.compact is not None:
-        from repro.campaign.store import ResultStore
-
-        store = ResultStore(args.compact)
+        store = args.compact
         if not store.shard_paths():
-            print(f"repro campaign --compact: no store at {args.compact}",
+            print(f"repro campaign --compact: no store at {store.path}",
                   file=sys.stderr)
             return 1
         stats = store.compact()
@@ -752,11 +710,7 @@ def cmd_campaign(args) -> int:
     fleet_spec = FleetSpec(n_clients=args.clients, unresponsive_fraction=0.05)
     if args.triage:
         return _campaign_triage(args, sites, config, fleet_spec)
-    stages = (
-        [STAGE_NAMES[s] for s in args.stage]
-        if args.stage
-        else [StageKind.BASE]
-    )
+    stages = [StageKind(name) for name in args.stage or ["Base"]]
     if args.dry_run:
         # expansion smoke: job counts and the key digest must be stable
         # run-to-run for a given population/scale/seed (CI asserts this)
@@ -1203,6 +1157,16 @@ def cmd_perf(args) -> int:
 def main(argv: Optional[List[str]] = None) -> int:
     """Entry point; returns the process exit code."""
     args = build_parser().parse_args(argv)
+    # open every result-store flag up front, so a bad path fails before
+    # any world runs rather than at the first commit
+    for flag in ("cache", "fsck", "compact"):
+        path = getattr(args, flag, None)
+        if path is not None:
+            try:
+                setattr(args, flag, ResultStore(path))
+            except ValueError as exc:
+                print(f"repro {args.command}: {exc}", file=sys.stderr)
+                return 2
     if args.command == "list":
         return cmd_list(args)
     if args.command == "stages":

@@ -68,14 +68,10 @@ class MFCConfig:
     #: "cohort" collapses statistically homogeneous clients into
     #: weighted macro-flows with synthesized per-member samples —
     #: O(cohorts) instead of O(crowd) per epoch, distribution-
-    #: equivalent verdicts (see worlds.equivalence).  Default-omitted
-    #: from the canonical encoding so existing hashes stay stable.
+    #: equivalent verdicts (see worlds.equivalence).
     crowd_mode: str = "exact"
 
     # -- hardening knobs (the coordinator's live-target defenses) ----------
-    # All of these are default-omitted from the canonical encoding
-    # (see ``worlds.codec.DEFAULT_OMITTED_FIELDS``), so configs written
-    # before they existed keep their hashes.
 
     #: run the hardened coordinator: re-liveness checks with client
     #: quarantine, invalid-epoch retry, and the safety-abort guard.

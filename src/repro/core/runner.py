@@ -23,7 +23,7 @@ from repro.core.client import MFCClient
 from repro.core.config import MFCConfig
 from repro.core.coordinator import Coordinator
 from repro.core.records import MFCResult
-from repro.core.stages import StageKind, StagePlan
+from repro.core.stages import StagePlan
 from repro.net.topology import Topology
 from repro.server.cluster import LoadBalancedCluster
 from repro.server.monitor import ResourceMonitor
@@ -80,7 +80,6 @@ class MFCRunner:
         fleet_spec: Optional[FleetSpec] = None,
         config: Optional[MFCConfig] = None,
         seed: int = 0,
-        stage_kinds: Optional[Sequence[StageKind]] = None,
         stages: Optional[Sequence[str]] = None,
         planner=None,
         monitor_interval_s: Optional[float] = None,
@@ -91,9 +90,9 @@ class MFCRunner:
     ) -> "MFCRunner":
         """Assemble a world (thin wrapper over ``WorldSpec.build()``).
 
-        *stage_kinds* restricts which stages run (default: all the
-        profile supports); *stages* selects registry-named probe
-        stages instead (e.g. ``["Upload", "CacheBust"]``).  *planner*
+        *stages* selects registry-named probe stages, in run order
+        (e.g. ``["Upload", "CacheBust"]``; default: the paper's three
+        stages the site supports).  *planner*
         is a :class:`~repro.core.epochs.PlannerSpec` choosing the
         epoch-progression strategy.  *monitor_interval_s* attaches an
         ``atop``-style monitor to the (first) server.
@@ -105,9 +104,6 @@ class MFCRunner:
             fleet=fleet_spec if fleet_spec is not None else FleetSpec(),
             config=config if config is not None else MFCConfig(),
             seed=seed,
-            stage_kinds=(
-                tuple(stage_kinds) if stage_kinds is not None else None
-            ),
             stages=tuple(stages) if stages is not None else None,
             planner=planner,
             monitor_interval_s=monitor_interval_s,

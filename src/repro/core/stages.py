@@ -39,7 +39,7 @@ Three further stages open workloads the paper never probed:
 
 ``standard_stages`` still returns exactly the paper's sequence;
 ``stages_named`` builds any registered subset, which is what
-``WorldSpec.stages`` and ``repro run --stages`` feed through.
+``WorldSpec.stages`` and ``repro run --stage`` feed through.
 """
 
 from __future__ import annotations
@@ -64,11 +64,11 @@ _SOURCES = ("base-page", "small-queries", "large-objects")
 
 
 class StageKind(enum.Enum):
-    """The paper's three probe categories (legacy spec vocabulary).
+    """The paper's three probe categories.
 
-    Kept for serialized ``WorldSpec.stage_kinds`` selections and the
-    historical campaign grids; each value names the registry entry of
-    the same stage.  New stages exist only as registry names.
+    Each value names the registry entry of the same stage; inference
+    and the §5 study use the enum to refer to the paper's stages.  New
+    stages exist only as registry names.
     """
 
     BASE = "Base"
@@ -125,7 +125,7 @@ class StagePlan:
 
     @property
     def kind(self) -> Optional[StageKind]:
-        """The legacy :class:`StageKind`, None for post-paper stages."""
+        """The paper's :class:`StageKind`, None for post-paper stages."""
         try:
             return StageKind(self.name)
         except ValueError:

@@ -7,10 +7,8 @@ measurement pipeline can be exercised deterministically:
 
 - :mod:`repro.faults.spec` — the serializable :class:`FaultSpec` /
   :class:`FaultEvent` plan that rides a
-  :class:`~repro.worlds.spec.WorldSpec` (default-omitted from the
-  canonical encoding, so fault-free spec hashes are untouched), plus
-  the named :data:`FAULT_PRESETS` the CLI exposes as
-  ``repro run --faults NAME``;
+  :class:`~repro.worlds.spec.WorldSpec`, plus the named
+  :data:`FAULT_PRESETS` the CLI exposes as ``repro run --faults NAME``;
 - :mod:`repro.faults.inject` — the :class:`FaultInjector` runtime that
   schedules window edges on the sim kernel and gates client requests,
   probes, and reports;

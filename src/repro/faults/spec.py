@@ -6,8 +6,7 @@ duration_s)`` of simulated time.  Both types are registered with the
 world codec (by :mod:`repro.worlds.registry`, keeping this module free
 of any worlds-layer import) so a fault plan can ride a
 :class:`~repro.worlds.spec.WorldSpec` through JSON, job keys, and the
-campaign cache; the ``faults`` field is default-omitted from the
-canonical encoding, so every fault-free spec hash stays byte-stable.
+campaign cache.
 
 Fault kinds
 -----------

@@ -351,7 +351,7 @@ def bench_world(
             min_clients=min(50, max(1, int(n_clients * 0.75))),
         ),
         seed=seed,
-        stage_kinds=(StageKind.LARGE_OBJECT,),
+        stages=("LargeObject",),
         crowd_mode=crowd_mode,
     )
     state: Dict = {}
@@ -418,7 +418,7 @@ def bench_crowd(
                 min_clients=min(50, max(1, int(n_clients * 0.75))),
             ),
             seed=seed,
-            stage_kinds=(StageKind.LARGE_OBJECT,),
+            stages=("LargeObject",),
             crowd_mode=mode,
         )
 
@@ -509,7 +509,7 @@ def bench_bisect_ramp(
             fleet=lan_fleet(n_clients),
             config=config,
             seed=seed,
-            stage_kinds=(StageKind.LARGE_OBJECT,),
+            stages=("LargeObject",),
             planner=planner,
         )
 
@@ -593,9 +593,9 @@ def bench_campaign(
     """Campaign dispatch throughput: batched pool vs per-job dispatch.
 
     Runs *n_worlds* micro-worlds three ways: auto-sized worker batches
-    committing through a sharded store (the population-scale path),
-    ``batch=1`` — the PR-1-era per-job dispatch against a single-file
-    store (per-task IPC, one fsync per record) — and sequentially into
+    committing through a store (the population-scale path), ``batch=1``
+    — one job per worker task (per-task IPC, one fsync per record) —
+    and sequentially into
     an in-memory store, which is the pure compute floor.  The floor
     separates world cost from engine cost: ``dispatch_speedup`` is the
     raw batched/per-job throughput ratio (compute-bound on one core),
@@ -644,7 +644,7 @@ def bench_campaign(
             run_campaign(
                 spec,
                 jobs=jobs,
-                store=Path(tmp) / "cache.jsonl",
+                store=Path(tmp) / "cache.d",
                 progress=False,
                 batch=1,
             )
@@ -738,7 +738,7 @@ def bench_cohort_campaign(
                 min_clients=min(50, max(1, int(n_clients * 0.75))),
             ),
             seed=seed + index,
-            stage_kinds=(StageKind.LARGE_OBJECT,),
+            stages=("LargeObject",),
             crowd_mode=mode,
         )
 

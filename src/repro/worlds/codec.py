@@ -34,7 +34,6 @@ from repro.content.objects import ContentType, WebObject
 from repro.content.site import SiteContent
 from repro.core.config import MFCConfig
 from repro.core.epochs import PlannerSpec
-from repro.core.stages import StageKind
 from repro.net.topology import ClientSpec, TopologySpec
 from repro.server.backends import BackendSpec
 from repro.server.database import DatabaseSpec
@@ -47,38 +46,6 @@ from repro.workload.fleet import FleetSpec
 COSMETIC_FIELDS: Dict[str, Set[str]] = {
     "Scenario": {"notes"},
     "WorldSpec": {"notes"},
-}
-
-#: fields omitted from *every* encoding while they hold the listed
-#: default.  This is how a spec dataclass grows new knobs without
-#: changing the canonical bytes — and therefore the spec hash and the
-#: campaign job keys — of every document written before the knob
-#: existed.  Decode already treats a missing field as "use the
-#: default", so old documents and new omit-at-default documents are
-#: the same bytes.
-DEFAULT_OMITTED_FIELDS: Dict[str, Dict[str, object]] = {
-    "WorldSpec": {
-        "stages": None,
-        "planner": None,
-        "indicator": False,
-        "faults": None,
-        # PR-10 cohort mode: exact-mode specs never mention it
-        "crowd_mode": None,
-    },
-    # the PR-9 hardening knobs: omitted at their defaults so every
-    # config-bearing job key and spec hash written before they existed
-    # stays byte-stable
-    "MFCConfig": {
-        "hardening": None,
-        "reliveness_every_epochs": 1,
-        "max_epoch_attrition": 0.5,
-        "epoch_retry_limit": 2,
-        "safety_abort_checks": 2,
-        "stage_timeout_s": None,
-        # PR-10 cohort mode: the default (exact) crowd path is the
-        # seed behaviour, so configs predating the knob keep hashes
-        "crowd_mode": "exact",
-    },
 }
 
 #: spec types whose *canonical* (hashing-form) document is memoized on
@@ -120,7 +87,6 @@ for _cls in (
     WebObject,
     ClientSpec,
     TopologySpec,
-    StageKind,
     ContentType,
 ):
     register_spec_type(_cls)
@@ -142,15 +108,10 @@ def encode(obj, cosmetic: bool = True):
             if memo is not None:
                 return memo
         skip = () if cosmetic else COSMETIC_FIELDS.get(name, ())
-        omitted = DEFAULT_OMITTED_FIELDS.get(name, {})
         doc = {"__dc__": name}
         for f in dataclasses.fields(obj):
-            if f.name in skip:
-                continue
-            value = getattr(obj, f.name)
-            if f.name in omitted and value == omitted[f.name]:
-                continue
-            doc[f.name] = encode(value, cosmetic)
+            if f.name not in skip:
+                doc[f.name] = encode(getattr(obj, f.name), cosmetic)
         if memoize:
             # plain __dict__ write: works for frozen dataclasses too,
             # and never shows up in fields/encode/repr
@@ -221,7 +182,7 @@ def decode(doc):
             for f in dataclasses.fields(cls):
                 if f.name not in doc:
                     # cosmetic field dropped by a canonical dump, or a
-                    # default-omitted field (pre-knob document)
+                    # field a hand-written document leaves at its default
                     continue
                 value = decode(doc[f.name])
                 if isinstance(value, list):

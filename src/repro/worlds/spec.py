@@ -25,7 +25,12 @@ from typing import Dict, Optional, Tuple
 
 from repro.core.config import MFCConfig
 from repro.core.epochs import PlannerSpec
-from repro.core.stages import StageKind, validate_stage_names
+from repro.core.stages import (
+    DEFAULT_STAGE_NAMES,
+    StageKind,
+    stages_named,
+    validate_stage_names,
+)
 from repro.faults.spec import FaultSpec
 from repro.server.http import HEADER_BYTES
 from repro.server.presets import Scenario
@@ -67,6 +72,55 @@ class SyntheticSpec:
             raise ValueError("server access bandwidth must be positive")
 
 
+def _background_client_specs():
+    """The background-traffic nodes every scenario world carries."""
+    from repro.net.topology import ClientSpec
+
+    return [
+        ClientSpec(
+            client_id=f"bg{i:02d}",
+            rtt_to_target=0.030 + 0.01 * i,
+            rtt_to_coord=0.020,
+            access_bps=12.5e6,
+            jitter=0.05,
+        )
+        for i in range(N_BACKGROUND_CLIENTS)
+    ]
+
+
+def _scenario_servers(sim, scenario: Scenario, topology):
+    """The scenario's server boxes and the service clients talk to:
+    the one box, or a load-balanced cluster over several."""
+    from repro.server.cluster import LoadBalancedCluster
+    from repro.server.webserver import SimWebServer
+
+    servers = [
+        SimWebServer(
+            sim,
+            (
+                scenario.server_spec
+                if scenario.n_servers == 1
+                else type(scenario.server_spec)(
+                    **{
+                        **scenario.server_spec.__dict__,
+                        "name": f"{scenario.server_spec.name}-{i}",
+                    }
+                )
+            ),
+            scenario.site,
+            topology.network,
+            topology.server_access,
+        )
+        for i in range(scenario.n_servers)
+    ]
+    service = (
+        servers[0]
+        if scenario.n_servers == 1
+        else LoadBalancedCluster(sim, servers)
+    )
+    return servers, service
+
+
 @codec.register_spec_type
 @dataclass
 class WorldSpec:
@@ -78,12 +132,9 @@ class WorldSpec:
     fleet: FleetSpec = field(default_factory=FleetSpec)
     config: MFCConfig = field(default_factory=MFCConfig)
     seed: int = 0
-    #: restrict which stages run (None: all the profile supports);
-    #: legacy vocabulary limited to the paper's three StageKinds
-    stage_kinds: Optional[Tuple[StageKind, ...]] = None
-    #: registry-named probe stages, in run order (the general form:
-    #: any name in ``repro.core.stages.STAGES``, e.g. "Upload");
-    #: mutually exclusive with *stage_kinds*
+    #: registry-named probe stages, in run order (any name in
+    #: ``repro.core.stages.STAGES``, e.g. "Upload"); None runs the
+    #: paper's three stages the site supports
     stages: Optional[Tuple[str, ...]] = None
     #: epoch-progression strategy (None: the paper's linear ramp)
     planner: Optional[PlannerSpec] = None
@@ -109,15 +160,12 @@ class WorldSpec:
     #: unless ``config.hardening`` says otherwise.
     faults: Optional[FaultSpec] = None
     #: per-world crowd-mode override: "exact" | "cohort" | None (follow
-    #: ``config.crowd_mode``).  Default-omitted from the canonical
-    #: encoding so pre-existing spec hashes stay byte-stable.
+    #: ``config.crowd_mode``)
     crowd_mode: Optional[str] = None
     #: free-form annotation — cosmetic, never hashed
     notes: str = ""
 
     def __post_init__(self) -> None:
-        if self.stage_kinds is not None:
-            self.stage_kinds = tuple(self.stage_kinds)
         if self.stages is not None:
             self.stages = tuple(self.stages)
         if self.planner == PlannerSpec():
@@ -159,11 +207,6 @@ class WorldSpec:
             )
         self.config.validate()
         self.fleet.validate()
-        if self.stage_kinds is not None and self.stages is not None:
-            raise ValueError(
-                "give stage_kinds= (legacy three-stage vocabulary) or "
-                "stages= (registry names), not both"
-            )
         if self.stages is not None:
             validate_stage_names(self.stages)
         if self.planner is not None:
@@ -193,7 +236,6 @@ class WorldSpec:
                     "have none"
                 )
             conflicting = {
-                "stage_kinds": self.stage_kinds,
                 "stages": self.stages,
                 "planner": self.planner,
             }
@@ -209,7 +251,6 @@ class WorldSpec:
                 "monitor_interval_s": self.monitor_interval_s,
                 "bottleneck_capacity_bps": self.bottleneck_capacity_bps,
                 "background_rps": self.background_rps,
-                "stage_kinds": self.stage_kinds,
                 "stages": self.stages,
                 "fleet.bottleneck_group": self.fleet.bottleneck_group,
             }
@@ -236,11 +277,8 @@ class WorldSpec:
         from repro.core.coordinator import Coordinator
         from repro.core.profiler import profile_site
         from repro.core.runner import MFCRunner
-        from repro.core.stages import stages_named, standard_stages
-        from repro.net.topology import ClientSpec, Topology, TopologySpec
-        from repro.server.cluster import LoadBalancedCluster
+        from repro.net.topology import Topology, TopologySpec
         from repro.server.monitor import ResourceMonitor
-        from repro.server.webserver import SimWebServer
         from repro.sim.kernel import Simulator
         from repro.sim.rng import RNGRegistry
         from repro.workload.background import BackgroundTraffic
@@ -253,16 +291,7 @@ class WorldSpec:
         sim = Simulator()
 
         fleet = build_fleet(self.fleet, rng=rngs.stream("fleet"))
-        bg_specs = [
-            ClientSpec(
-                client_id=f"bg{i:02d}",
-                rtt_to_target=0.030 + 0.01 * i,
-                rtt_to_coord=0.020,
-                access_bps=12.5e6,
-                jitter=0.05,
-            )
-            for i in range(N_BACKGROUND_CLIENTS)
-        ]
+        bg_specs = _background_client_specs()
         topo_spec = TopologySpec(
             server_access_bps=scenario.server_access_bps,
             clients=list(fleet) + bg_specs,
@@ -281,30 +310,7 @@ class WorldSpec:
         )
         topology = Topology(sim, topo_spec, rngs=rngs.fork("topology"))
 
-        servers = [
-            SimWebServer(
-                sim,
-                (
-                    scenario.server_spec
-                    if scenario.n_servers == 1
-                    else type(scenario.server_spec)(
-                        **{
-                            **scenario.server_spec.__dict__,
-                            "name": f"{scenario.server_spec.name}-{i}",
-                        }
-                    )
-                ),
-                scenario.site,
-                topology.network,
-                topology.server_access,
-            )
-            for i in range(scenario.n_servers)
-        ]
-        service = (
-            servers[0]
-            if scenario.n_servers == 1
-            else LoadBalancedCluster(sim, servers)
-        )
+        servers, service = _scenario_servers(sim, scenario, topology)
 
         fleet_nodes = [topology.client(spec.client_id) for spec in fleet]
         bg_nodes = [topology.client(spec.client_id) for spec in bg_specs]
@@ -373,13 +379,10 @@ class WorldSpec:
         )
 
         profile = profile_site(scenario.site)
-        if self.stages is not None:
-            stages = stages_named(self.stages, profile)
-        else:
-            stages = standard_stages(profile)
-            if self.stage_kinds is not None:
-                wanted = set(self.stage_kinds)
-                stages = [s for s in stages if s.kind in wanted]
+        stages = stages_named(
+            self.stages if self.stages is not None else DEFAULT_STAGE_NAMES,
+            profile,
+        )
 
         monitor = (
             ResourceMonitor(sim, servers[0], interval_s=self.monitor_interval_s)
@@ -412,8 +415,6 @@ class WorldSpec:
         )
         from repro.core.profiler import profile_site
         from repro.net.topology import ClientSpec, Topology, TopologySpec
-        from repro.server.cluster import LoadBalancedCluster
-        from repro.server.webserver import SimWebServer
         from repro.sim.kernel import Simulator
         from repro.sim.rng import RNGRegistry
         from repro.workload.background import BackgroundTraffic
@@ -435,46 +436,14 @@ class WorldSpec:
             access_bps=PROBE_ACCESS_BPS,
             jitter=PROBE_JITTER,
         )
-        bg_specs = [
-            ClientSpec(
-                client_id=f"bg{i:02d}",
-                rtt_to_target=0.030 + 0.01 * i,
-                rtt_to_coord=0.020,
-                access_bps=12.5e6,
-                jitter=0.05,
-            )
-            for i in range(N_BACKGROUND_CLIENTS)
-        ]
+        bg_specs = _background_client_specs()
         topo_spec = TopologySpec(
             server_access_bps=scenario.server_access_bps,
             clients=[probe_spec] + bg_specs,
         )
         topology = Topology(sim, topo_spec, rngs=rngs.fork("topology"))
 
-        servers = [
-            SimWebServer(
-                sim,
-                (
-                    scenario.server_spec
-                    if scenario.n_servers == 1
-                    else type(scenario.server_spec)(
-                        **{
-                            **scenario.server_spec.__dict__,
-                            "name": f"{scenario.server_spec.name}-{i}",
-                        }
-                    )
-                ),
-                scenario.site,
-                topology.network,
-                topology.server_access,
-            )
-            for i in range(scenario.n_servers)
-        ]
-        service = (
-            servers[0]
-            if scenario.n_servers == 1
-            else LoadBalancedCluster(sim, servers)
-        )
+        servers, service = _scenario_servers(sim, scenario, topology)
         client = MFCClient(
             sim,
             topology.client(probe_spec.client_id),

@@ -17,6 +17,7 @@ from repro.campaign import (
     stable_key,
 )
 from repro.analysis import run_stage_study
+from repro.campaign.store import shard_index
 from repro.core.config import MFCConfig
 from repro.core.records import (
     ClientReport,
@@ -75,7 +76,7 @@ def test_grid_expansion_is_deterministic():
     assert len(first) == 2 * 2 * 2
     assert [j.job_id for j in first] == [j.job_id for j in second]
     assert [j.key for j in first] == [j.key for j in second]
-    assert [j.seed for j in first] == [j.seed for j in second]
+    assert [j.world.seed for j in first] == [j.world.seed for j in second]
     # all jobs distinct
     assert len({j.key for j in first}) == len(first)
 
@@ -86,15 +87,16 @@ def test_grid_uses_study_seeding():
         sites, StageKind.BASE, config=STUDY_CONFIG, fleet_spec=STUDY_FLEET, seed=3
     )
     jobs = spec.expand()
-    assert [j.seed for j in jobs] == [derive_site_seed(3, i) for i in range(len(sites))]
+    assert [j.world.seed for j in jobs] == [
+        derive_site_seed(3, i) for i in range(len(sites))
+    ]
     assert [j.meta["site_id"] for j in jobs] == [s.site_id for s in sites]
     assert [j.meta["stratum"] for j in jobs] == [s.stratum for s in sites]
 
 
 def test_grid_over_named_stages_and_planners():
-    """The stage/planner axes expand to world jobs; legacy StageKind
-    entries under the default planner stay scenario jobs with the
-    historical ids (so old stores keep serving their keys)."""
+    """The stage/planner axes expand to world jobs; a StageKind entry
+    reads as its registry name."""
     from repro.core.epochs import PlannerSpec
 
     spec = CampaignSpec.grid(
@@ -107,10 +109,10 @@ def test_grid_over_named_stages_and_planners():
     jobs = spec.expand()
     assert len(jobs) == 4
     by_id = {j.job_id: j for j in jobs}
-    # legacy cell: scenario payload, id without a planner tag
-    legacy = by_id["qtnp|Base|default|seed0"]
-    assert legacy.scenario is not None and legacy.world is None
-    assert legacy.stage_kinds == (StageKind.BASE,)
+    # default planner: id without a planner tag, no planner in the spec
+    base = by_id["qtnp|Base|default|seed0"]
+    assert base.world.stages == ("Base",)
+    assert base.world.planner is None
     # named stage under the default planner: world job selecting by name
     upload = by_id["qtnp|Upload|default|seed0"]
     assert upload.world is not None
@@ -125,26 +127,10 @@ def test_grid_over_named_stages_and_planners():
     assert len({j.key for j in jobs}) == 4
 
 
-def test_legacy_grid_ids_and_keys_unchanged_by_planner_axis():
-    def make(**kwargs):
-        return CampaignSpec.grid(
-            name="grid",
-            scenarios=[("qtnp", qtnp_server())],
-            stages=(StageKind.BASE,),
-            fleet_spec=STUDY_FLEET,
-            **kwargs,
-        ).expand()
-
-    implicit = make()
-    explicit = make(planners=(("default", None),))
-    assert [j.job_id for j in implicit] == [j.job_id for j in explicit]
-    assert [j.key for j in implicit] == [j.key for j in explicit]
-
-
 def test_explicit_linear_planner_folds_into_the_default_cell():
     """('linear', PlannerSpec('linear')) is byte-identical work to the
-    default cell: it must share the default's job key (and legacy
-    payload), not cache the same simulation twice under a new key."""
+    default cell: it must share the default's job key, not cache the
+    same simulation twice under a new key."""
     from repro.core.epochs import PlannerSpec
 
     spec = CampaignSpec.grid(
@@ -157,7 +143,7 @@ def test_explicit_linear_planner_folds_into_the_default_cell():
     jobs = spec.expand()
     assert len(jobs) == 2
     assert jobs[0].key == jobs[1].key          # deduped by the executor
-    assert all(j.scenario is not None for j in jobs)  # both legacy cells
+    assert all(j.world.planner is None for j in jobs)
 
 
 def test_grid_rejects_runner_kwargs_carrying_grid_axes():
@@ -216,22 +202,24 @@ def test_planner_grid_jobs_run(tmp_path):
         variants=(("small", config),),
         fleet_spec=FleetSpec(n_clients=20, unresponsive_fraction=0.0),
     )
-    outcomes = run_campaign(spec, store=tmp_path / "grid.jsonl")
+    outcomes = run_campaign(spec, store=tmp_path / "grid.d")
     assert len(outcomes) == 2
     for outcome in outcomes:
         assert "ConnChurn" in outcome.result.stages
 
 
 def test_stable_key_tracks_execution_parameters():
-    base = dict(scenario=qtnp_server(), stage_kinds=(StageKind.BASE,), seed=1)
-    job = JobSpec(job_id="a", **base)
-    same = JobSpec(job_id="b", meta={"label": "differs"}, **base)
+    def world(**overrides):
+        return WorldSpec(
+            **{"scenario": qtnp_server(), "stages": ("Base",), "seed": 1, **overrides}
+        )
+
+    job = JobSpec.from_world("a", world())
+    same = JobSpec.from_world("b", world(), meta={"label": "differs"})
     assert job.key == same.key  # ids and meta are not execution parameters
-    assert job.key != JobSpec(job_id="c", **{**base, "seed": 2}).key
-    assert (
-        job.key
-        != JobSpec(job_id="d", config=MFCConfig(max_crowd=45), **base).key
-    )
+    assert job.key != JobSpec.from_world("c", world(seed=2)).key
+    assert job.key != JobSpec.from_world("d", world(config=MFCConfig(max_crowd=45))).key
+    assert job.key != JobSpec.from_world("e", world(), time_limit_s=60.0).key
 
 
 def test_stable_key_ignores_cosmetic_scenario_fields():
@@ -240,15 +228,13 @@ def test_stable_key_ignores_cosmetic_scenario_fields():
 
     scenario = qtnp_server()
     relabeled = dataclasses.replace(scenario, notes="edited annotation")
-    job = JobSpec(job_id="a", scenario=scenario, seed=1)
-    assert JobSpec(job_id="a", scenario=relabeled, seed=1).key == job.key
+    job = JobSpec.from_world("a", WorldSpec(scenario=scenario, seed=1))
+    assert JobSpec.from_world("a", WorldSpec(scenario=relabeled, seed=1)).key == job.key
 
 
 def test_jobspec_payload_validation():
     with pytest.raises(ValueError):
         JobSpec(job_id="neither")
-    with pytest.raises(ValueError):
-        JobSpec(job_id="both", scenario=qtnp_server(), func="m:f")
     with pytest.raises(ValueError):
         JobSpec(job_id="colonless", func="no_colon")
     with pytest.raises(ValueError):
@@ -264,7 +250,7 @@ def small_world(seed=1, max_crowd=15):
         scenario=qtnp_server(),
         fleet=FleetSpec(n_clients=20, unresponsive_fraction=0.0),
         config=MFCConfig(max_crowd=max_crowd, min_clients=10),
-        stage_kinds=(StageKind.BASE,),
+        stages=("Base",),
         seed=seed,
     )
 
@@ -274,16 +260,6 @@ def test_world_job_keys_track_the_spec():
     same = JobSpec.from_world("relabeled", small_world(seed=1), meta={"x": 1})
     assert job.key == same.key  # ids and meta are not execution parameters
     assert job.key != JobSpec.from_world("w2", small_world(seed=2)).key
-    # a world job never collides with the equivalent scenario job
-    scenario_job = JobSpec(
-        job_id="s",
-        scenario=qtnp_server(),
-        fleet_spec=FleetSpec(n_clients=20, unresponsive_fraction=0.0),
-        config=MFCConfig(max_crowd=15, min_clients=10),
-        stage_kinds=(StageKind.BASE,),
-        seed=1,
-    )
-    assert job.key != scenario_job.key
 
 
 def test_world_jobs_run_and_cache(tmp_path):
@@ -294,12 +270,12 @@ def test_world_jobs_run_and_cache(tmp_path):
             for seed in (1, 2)
         ],
     )
-    outcomes = run_campaign(spec, jobs=2, store=tmp_path / "worlds.jsonl")
+    outcomes = run_campaign(spec, jobs=2, store=tmp_path / "worlds.d")
     direct = [small_world(seed=seed).build().run() for seed in (1, 2)]
     assert [o.result.stage("Base").describe() for o in outcomes] == [
         r.stage("Base").describe() for r in direct
     ]
-    repeat = run_campaign(spec, store=tmp_path / "worlds.jsonl")
+    repeat = run_campaign(spec, store=tmp_path / "worlds.d")
     assert all(o.cached for o in repeat)
 
 
@@ -433,12 +409,12 @@ def record(key, detail=SUMMARY, value=0):
 
 
 def test_store_roundtrip_and_torn_line(tmp_path):
-    path = tmp_path / "store.jsonl"
+    path = tmp_path / "store.d"
     store = ResultStore(path)
     store.append(record("a"))
     store.append(record("b"))
     # simulate a kill mid-append: a torn trailing line
-    with path.open("a") as fh:
+    with store.shard_path(shard_index("c")).open("a") as fh:
         fh.write('{"key": "c", "resu')
     reloaded = ResultStore(path)
     assert len(reloaded) == 2
@@ -446,7 +422,7 @@ def test_store_roundtrip_and_torn_line(tmp_path):
 
 
 def test_store_full_records_satisfy_summary_lookups(tmp_path):
-    store = ResultStore(tmp_path / "store.jsonl")
+    store = ResultStore(tmp_path / "store.d")
     store.append(record("a", detail=SUMMARY, value=1))
     assert store.get("a", SUMMARY) is not None
     assert store.get("a", FULL) is None  # summary cannot serve full
@@ -470,7 +446,7 @@ def test_parallel_study_matches_sequential(tmp_path):
         sites,
         StageKind.BASE,
         jobs=2,
-        cache_path=tmp_path / "study.jsonl",
+        cache_path=tmp_path / "study.d",
         **kwargs,
     )
     assert parallel.measurements == sequential.measurements
@@ -484,15 +460,16 @@ def test_campaign_resumes_from_interrupted_store(tmp_path):
     spec = CampaignSpec.for_study(
         sites, StageKind.BASE, config=STUDY_CONFIG, fleet_spec=STUDY_FLEET, seed=1
     )
-    full_path = tmp_path / "full.jsonl"
-    first = run_campaign(spec, store=full_path)
+    first = run_campaign(spec, store=tmp_path / "full.d")
     assert [o.cached for o in first] == [False] * len(sites)
 
-    # "kill" the campaign after two finished jobs: keep the first two
-    # committed lines, as a mid-run interrupt would
-    lines = full_path.read_text().splitlines()
-    resumed_path = tmp_path / "resumed.jsonl"
-    resumed_path.write_text("\n".join(lines[:2]) + "\n")
+    # "kill" the campaign after two finished jobs: keep only the first
+    # two committed records, as a mid-run interrupt would
+    committed = {o.job.key for o in first[:2]}
+    resumed_path = tmp_path / "resumed.d"
+    ResultStore(resumed_path).append_batch(
+        [r for r in ResultStore(tmp_path / "full.d").records() if r["key"] in committed]
+    )
 
     resumed = run_campaign(spec, jobs=2, store=resumed_path)
     assert [o.cached for o in resumed] == [True, True, False, False]
@@ -510,10 +487,10 @@ def test_duplicate_jobs_execute_once(tmp_path):
         name="dups",
         jobs=[JobSpec(job_id="a", **job), JobSpec(job_id="b", **job)],
     )
-    outcomes = run_campaign(spec, store=tmp_path / "dups.jsonl")
+    outcomes = run_campaign(spec, store=tmp_path / "dups.d")
     assert [o.result for o in outcomes] == [{"doubled": 42}] * 2
     assert [o.cached for o in outcomes] == [False, True]
-    assert len((tmp_path / "dups.jsonl").read_text().splitlines()) == 1
+    assert ResultStore(tmp_path / "dups.d").fsck()["totals"]["lines"] == 1
 
 
 def test_callable_jobs_parallel(tmp_path):
@@ -528,7 +505,7 @@ def test_callable_jobs_parallel(tmp_path):
             for x in range(4)
         ],
     )
-    outcomes = run_campaign(spec, jobs=2, store=tmp_path / "c.jsonl")
+    outcomes = run_campaign(spec, jobs=2, store=tmp_path / "c.d")
     assert [o.result for o in outcomes] == [{"doubled": 2 * x} for x in range(4)]
 
 
@@ -538,7 +515,7 @@ def test_pool_failure_still_commits_finished_jobs(tmp_path):
         for x in (1, 2)
     ]
     jobs.append(JobSpec(job_id="boom", func="campaign_helpers:boom"))
-    path = tmp_path / "partial.jsonl"
+    path = tmp_path / "partial.d"
     with pytest.raises(RuntimeError, match="job failure propagates"):
         run_campaign(CampaignSpec(name="partial", jobs=jobs), jobs=2, store=path)
     # the two healthy jobs finished and were committed before the

@@ -74,7 +74,6 @@ def test_shard_index_is_stable_and_in_range():
 
 def test_sharded_store_roundtrip_and_layout(tmp_path):
     store = ResultStore(tmp_path / "cache.d")
-    assert store.sharded
     keys = [f"{b:02x}key" for b in range(40)]
     store.append_batch([record(k, value=i) for i, k in enumerate(keys)])
     files = store.shard_paths()
@@ -104,40 +103,35 @@ def test_append_batch_groups_by_shard(tmp_path):
     assert len(path.read_text().splitlines()) == 3
 
 
-def test_legacy_jsonl_path_stays_single_file(tmp_path):
+def test_store_rejects_a_regular_file(tmp_path):
     path = tmp_path / "cache.jsonl"
-    store = ResultStore(path)
-    assert not store.sharded
+    path.write_text(json.dumps(record("aa")) + "\n")
+    with pytest.raises(ValueError, match="cache.jsonl is a file"):
+        ResultStore(path)
+    # any other path is a shard directory, created on the first append
+    store = ResultStore(tmp_path / "fresh.jsonl")
     store.append(record("aa"))
-    store.append(record("bb"))
-    assert path.is_file()
-    reloaded = ResultStore(path)
-    assert len(reloaded) == 2
-    # an existing regular file is treated as legacy even without .jsonl
-    odd = tmp_path / "cache.dat"
-    odd.write_text(json.dumps(record("cc")) + "\n")
-    assert not ResultStore(odd).sharded
-    assert "cc" in ResultStore(odd)
+    assert (tmp_path / "fresh.jsonl").is_dir()
 
 
 def test_torn_tail_is_silent_but_mid_file_corruption_warns(tmp_path):
-    path = tmp_path / "cache.jsonl"
-    store = ResultStore(path)
-    store.append(record("aa"))
-    store.append(record("bb"))
+    store = ResultStore(tmp_path / "cache.d")
+    store.append(record("aa01"))
+    store.append(record("aa02"))
+    path = store.shard_path(shard_index("aa01"))
     # torn trailing line: the kill-mid-append signature, no warning
     with path.open("a") as fh:
-        fh.write('{"key": "cc", "resu')
+        fh.write('{"key": "aa03", "resu')
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        reloaded = ResultStore(path)
+        reloaded = ResultStore(tmp_path / "cache.d")
         assert len(reloaded) == 2
     # corruption *before* intact lines is real damage and must warn
     lines = path.read_text().splitlines()
     lines[0] = '{"broken'
     path.write_text("\n".join(lines) + "\n")
     with pytest.warns(RuntimeWarning, match="1 corrupt mid-file line"):
-        damaged = ResultStore(path)
+        damaged = ResultStore(tmp_path / "cache.d")
         assert len(damaged) == 1  # the intact record survives
 
 
@@ -157,19 +151,6 @@ def test_compact_drops_superseded_and_reports_bytes(tmp_path):
     assert reloaded.get("ab", SUMMARY)["result"]["value"] == 4
     # compacting a compacted store reclaims nothing further
     assert ResultStore(tmp_path / "cache.d").compact()["bytes_reclaimed"] == 0
-
-
-def test_compact_works_on_legacy_single_file(tmp_path):
-    path = tmp_path / "cache.jsonl"
-    store = ResultStore(path)
-    for value in range(5):
-        store.append(record("aa", value=value))  # 5 runs of one key
-    with path.open("a") as fh:
-        fh.write('{"torn')
-    stats = ResultStore(path).compact()
-    assert stats["files"] == 1
-    assert stats["records_after"] == 1
-    assert ResultStore(path).get("aa", SUMMARY)["result"]["value"] == 4
 
 
 # -- batched dispatch -------------------------------------------------------------

@@ -278,7 +278,11 @@ def test_resume_after_kill_spans_phase_boundary(tmp_path):
     assert all(dropped.values()), "fixture must cover both phases"
 
     resumed = run_triage(triage_fixture_sites(), store=str(cache), **kwargs)
-    assert resumed == baseline
+    # records stream in landing order, which a resume reshuffles
+    def by_site(records):
+        return sorted(records, key=lambda r: r.site_id)
+
+    assert by_site(resumed) == by_site(baseline)
 
 
 # -- satellite units: cost model and canonical-form memo ---------------------

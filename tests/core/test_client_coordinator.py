@@ -190,7 +190,7 @@ def test_epoch_crowds_nondecreasing_until_check():
         qtnp_server(),
         fleet_spec=FleetSpec(n_clients=65, unresponsive_fraction=0.0),
         config=MFCConfig(min_clients=50, max_crowd=30),
-        stage_kinds=[StageKind.BASE],
+        stages=("Base",),
         seed=2,
     )
     result = runner.run()
@@ -222,7 +222,7 @@ def test_mfc_requests_marked_in_access_log():
         qtnp_server(),
         fleet_spec=FleetSpec(n_clients=55, unresponsive_fraction=0.0),
         config=MFCConfig(min_clients=50, max_crowd=15),
-        stage_kinds=[StageKind.BASE],
+        stages=("Base",),
         seed=1,
     )
     runner.run()
@@ -238,7 +238,7 @@ def test_control_loss_produces_missing_reports():
         qtnp_server(),
         fleet_spec=FleetSpec(n_clients=70, unresponsive_fraction=0.0),
         config=MFCConfig(min_clients=50, max_crowd=30),
-        stage_kinds=[StageKind.BASE],
+        stages=("Base",),
         control_loss_prob=0.10,
         seed=4,
     )
@@ -252,7 +252,7 @@ def test_random_selection_varies_participants():
         qtnp_server(),
         fleet_spec=FleetSpec(n_clients=60, unresponsive_fraction=0.0),
         config=MFCConfig(min_clients=50, max_crowd=10, check_phase=False),
-        stage_kinds=[StageKind.BASE],
+        stages=("Base",),
         seed=5,
     )
     result = runner.run()

@@ -19,7 +19,6 @@ from repro.core.inference import (
     infer_constraints,
 )
 from repro.core.records import MFCResult, StageOutcome, StageResult
-from repro.core.stages import StageKind
 from repro.workload.fleet import FleetSpec
 from repro.worlds import SCENARIO_PRESETS, WorldSpec
 
@@ -33,7 +32,7 @@ def run_small_world():
         fleet=SMALL_FLEET,
         config=SMALL_CONFIG,
         seed=5,
-        stage_kinds=(StageKind.BASE,),
+        stages=("Base",),
     ).build().run()
 
 
@@ -154,7 +153,7 @@ def test_clean_hardened_run_leaves_annotations_at_zero():
         fleet=SMALL_FLEET,
         config=config,
         seed=5,
-        stage_kinds=(StageKind.BASE,),
+        stages=("Base",),
     ).build().run()
     stage = result.stage("Base")
     assert stage.invalid_epochs == 0

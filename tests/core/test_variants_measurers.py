@@ -23,7 +23,7 @@ def test_mfc_mr_doubles_requests_per_epoch():
     )
     runner = MFCRunner.build(
         qtnp_server(), fleet_spec=FLEET, config=config,
-        stage_kinds=[StageKind.BASE], seed=8,
+        stages=("Base",), seed=8,
     )
     result = runner.run()
     stage = result.stage(StageKind.BASE.value)
@@ -46,7 +46,7 @@ def test_staggered_arrivals_spread_at_server():
     )
     runner = MFCRunner.build(
         qtnp_server(), fleet_spec=FLEET, config=config,
-        stage_kinds=[StageKind.BASE], seed=9,
+        stages=("Base",), seed=9,
     )
     result = runner.run()
     stage = result.stage(StageKind.BASE.value)
@@ -71,7 +71,7 @@ def test_staggered_softens_degradation():
     def stop_size(config, seed=10):
         runner = MFCRunner.build(
             qtnp_server(), fleet_spec=FLEET, config=config,
-            stage_kinds=[StageKind.BASE], seed=seed,
+            stages=("Base",), seed=seed,
         )
         stage = runner.run().stage(StageKind.BASE.value)
         return stage.stopping_crowd_size
@@ -86,7 +86,7 @@ def test_measurer_samples_response_times():
     runner = MFCRunner.build(
         qtnp_server(), fleet_spec=FLEET,
         config=MFCConfig(min_clients=50, max_crowd=15),
-        stage_kinds=[StageKind.BASE], seed=11,
+        stages=("Base",), seed=11,
     )
     measurer = Measurer(
         runner.sim,
@@ -116,7 +116,7 @@ def test_measurer_observes_cross_resource_impact():
         scenario,
         fleet_spec=FleetSpec(n_clients=55, unresponsive_fraction=0.0),
         config=MFCConfig(min_clients=50, max_crowd=40, threshold_s=1e6),
-        stage_kinds=[StageKind.LARGE_OBJECT],
+        stages=("LargeObject",),
         seed=12,
     )
     measurer = Measurer(

