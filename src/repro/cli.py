@@ -58,6 +58,30 @@ SCENARIOS = SCENARIO_PRESETS
 POPULATIONS = ("quantcast", "startups", "phishing")
 
 
+def _flag_parent(*names, **kwargs) -> argparse.ArgumentParser:
+    """A one-flag argparse parent parser, declared once and shared by
+    every subcommand that takes the flag."""
+    parent = argparse.ArgumentParser(add_help=False)
+    parent.add_argument(*names, **kwargs)
+    return parent
+
+
+_SEED_FLAG = _flag_parent("--seed", type=int, default=0)
+_JOBS_FLAG = _flag_parent("--jobs", type=int, default=None, metavar="N",
+                          help="worker processes (default: sequential)")
+_CACHE_FLAG = _flag_parent("--cache", default=None, metavar="DIR",
+                           help="result store directory: an interrupted "
+                                "run resumes from it without recomputation")
+_QUIET_FLAG = _flag_parent("--quiet", action="store_true",
+                           help="suppress progress reporting")
+_CROWD_MODE_FLAG = _flag_parent("--crowd-mode", default=None,
+                                choices=("exact", "cohort"),
+                                help="epoch fan-out of the probe worlds "
+                                     "(default: exact per-client "
+                                     "simulation; 'cohort' aggregates "
+                                     "homogeneous crowd members)")
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -110,6 +134,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     campaign = sub.add_parser(
         "campaign",
+        parents=[_SEED_FLAG, _JOBS_FLAG, _CACHE_FLAG, _QUIET_FLAG],
         help="measure a generated §5 population through the campaign engine",
     )
     campaign.add_argument("population", nargs="?", choices=POPULATIONS,
@@ -130,16 +155,9 @@ def build_parser() -> argparse.ArgumentParser:
                           help="crowd-size cap in requests (default 50)")
     campaign.add_argument("--clients", type=int, default=60,
                           help="fleet size per site world (default 60)")
-    campaign.add_argument("--seed", type=int, default=0)
-    campaign.add_argument("--jobs", type=int, default=None, metavar="N",
-                          help="worker processes (default: sequential)")
     campaign.add_argument("--batch", type=int, default=None, metavar="B",
                           help="worlds per worker task (default: auto-sized "
                                "by estimated world cost)")
-    campaign.add_argument("--cache", default=None, metavar="DIR",
-                          help="result store directory of shard-NN.jsonl "
-                               "files; an interrupted campaign resumes "
-                               "from it without recomputation")
     campaign.add_argument("--compact", default=None, metavar="CACHE",
                           help="compact a result store in place (drop "
                                "superseded and corrupt lines, report bytes "
@@ -159,8 +177,6 @@ def build_parser() -> argparse.ArgumentParser:
                           help="dead-letter mode: extra attempts for a "
                                "job that raises (timeouts are never "
                                "retried; default 0)")
-    campaign.add_argument("--quiet", action="store_true",
-                          help="suppress progress reporting")
     campaign.add_argument("--dry-run", action="store_true",
                           help="expand the campaign and print per-stratum "
                                "site counts, job counts and the key digest "
@@ -181,6 +197,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     triage = sub.add_parser(
         "triage",
+        parents=[_SEED_FLAG, _CROWD_MODE_FLAG],
         help="triage one scenario: indicator sweep + classifier verdict",
     )
     triage.add_argument("scenario", choices=sorted(SCENARIOS))
@@ -190,7 +207,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="crowd-size cap in requests (default 55)")
     triage.add_argument("--clients", type=int, default=65,
                         help="fleet size (default 65)")
-    triage.add_argument("--seed", type=int, default=0)
     triage.add_argument("--margin", type=float, default=2.0,
                         help="ambiguity margin: stages predicted to stop "
                              "below margin x max-crowd stay on the watch "
@@ -198,17 +214,14 @@ def build_parser() -> argparse.ArgumentParser:
     triage.add_argument("--active", action="store_true",
                         help="also run the targeted phase-2 probes the "
                              "verdict asks for and print the joined record")
-    triage.add_argument("--crowd-mode", default=None,
-                        choices=("exact", "cohort"),
-                        help="epoch fan-out for the --active phase-2 "
-                             "probes (default: exact; 'cohort' "
-                             "aggregates homogeneous crowd members)")
     triage.add_argument("--json", action="store_true",
                         help="machine-readable verdict (and record with "
                              "--active)")
 
     chaos = sub.add_parser(
         "chaos",
+        parents=[_SEED_FLAG, _JOBS_FLAG, _CACHE_FLAG, _CROWD_MODE_FLAG,
+                 _QUIET_FLAG],
         help="run the fault grid: faulted verdicts must match the "
              "baseline or be explicitly inconclusive, never silently "
              "wrong",
@@ -224,26 +237,13 @@ def build_parser() -> argparse.ArgumentParser:
                        choices=sorted(FAULT_PRESETS),
                        help="restrict to a fault preset (repeatable; "
                             "default: --quick slice or every preset)")
-    chaos.add_argument("--seed", type=int, default=0)
-    chaos.add_argument("--jobs", type=int, default=None, metavar="N",
-                       help="worker processes (default: sequential)")
-    chaos.add_argument("--cache", default=None, metavar="PATH",
-                       help="result store: an interrupted grid resumes "
-                            "from it without recomputation")
-    chaos.add_argument("--crowd-mode", default=None,
-                       choices=("exact", "cohort"),
-                       help="run every grid world in this crowd mode "
-                            "(default: exact per-client simulation); "
-                            "'cohort' asserts the hardening contract "
-                            "under cohort aggregation")
     chaos.add_argument("--json", action="store_true",
                        help="machine-readable report (rows, counts, "
                             "silently-wrong cells)")
-    chaos.add_argument("--quiet", action="store_true",
-                       help="suppress progress reporting")
 
     equiv = sub.add_parser(
         "equiv",
+        parents=[_SEED_FLAG, _JOBS_FLAG, _CACHE_FLAG, _QUIET_FLAG],
         help="run the cohort-vs-exact equivalence grid: aggregated "
              "crowd epochs must reach the same provisioning verdicts "
              "as exact per-client simulation",
@@ -255,17 +255,9 @@ def build_parser() -> argparse.ArgumentParser:
                        choices=sorted(SCENARIOS),
                        help="restrict to a scenario (repeatable; "
                             "default: --quick slice or every preset)")
-    equiv.add_argument("--seed", type=int, default=0)
-    equiv.add_argument("--jobs", type=int, default=None, metavar="N",
-                       help="worker processes (default: sequential)")
-    equiv.add_argument("--cache", default=None, metavar="PATH",
-                       help="result store: an interrupted grid resumes "
-                            "from it without recomputation")
     equiv.add_argument("--json", action="store_true",
                        help="machine-readable report (rows, counts, "
                             "mismatches)")
-    equiv.add_argument("--quiet", action="store_true",
-                       help="suppress progress reporting")
 
     perf = sub.add_parser(
         "perf",

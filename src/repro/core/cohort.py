@@ -31,6 +31,12 @@ and each member's own latency stream, so the ``"faults"``,
 ``"coordinator"`` and provisioning streams are untouched — exact-mode
 runs of the same spec stay byte-identical to the pre-cohort seed.
 
+The coordinator runs one epoch skeleton for both crowd modes: exact
+mode is the degenerate grouping — every client a singleton
+:class:`Cohort` that is its own representative, weight 1, with no
+meter, reporting over the control channel — while cohort mode groups
+with :func:`group_cohorts` and synthesizes every member's report.
+
 When exact mode is still required: synthetic-service worlds (no
 server pipeline to meter) silently fall back, and studies that care
 about *individual* client microbehaviour (per-client fault forensics,

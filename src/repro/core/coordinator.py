@@ -13,6 +13,11 @@ Orchestrates one experiment end-to-end:
    random, compute the synchronized dispatch plan, fire commands over
    the lossy control channel, wait out the epoch gap, collect whatever
    reports arrived, hand the aggregate to the planner.
+
+One delay computation and one epoch skeleton serve both crowd modes:
+exact mode runs every client as a singleton group with mailbox
+reports; cohort mode groups with :func:`~repro.core.cohort.group_cohorts`
+and synthesizes every member's report from the group's meter.
 """
 
 from __future__ import annotations
@@ -111,6 +116,9 @@ class Coordinator:
         self._cohort_pipes: Dict[Tuple, object] = {}
         self._mailbox: Dict[Tuple[str, int], List[ClientReport]] = {}
         self._epoch_seq = 0
+        #: client id → position in the registration-time live list
+        #: (object assignment is positional)
+        self._position: Dict[str, int] = {}
         for client in self.clients:
             client.report_sink = self._deliver_report
 
@@ -131,7 +139,10 @@ class Coordinator:
     def _experiment(self, stages: List[StagePlan]) -> Generator:
         result = MFCResult(target_name=self.target_name, started_at=self.sim.now)
 
-        live = yield from self._liveness_check()
+        # registration: keep the clients answering within the window
+        alive = yield from self._probe(self.clients)
+        live = [c for c in self.clients if c.client_id in alive]
+        self._position = {c.client_id: i for i, c in enumerate(live)}
         result.live_clients = len(live)
         if len(live) < self.config.min_clients:
             result.aborted = True
@@ -149,14 +160,14 @@ class Coordinator:
         result.ended_at = self.sim.now
         return result
 
-    def _liveness_check(self) -> Generator:
-        """Probe every client; keep those answering within the window."""
+    def _probe(self, clients: List[MFCClient]) -> Generator:
+        """Liveness-probe *clients*; return the ids that answered
+        within one ``liveness_timeout_s`` window."""
         answered: List[str] = []
-        for client in self.clients:
+        for client in clients:
             client.probe(answered.append)
         yield self.config.liveness_timeout_s
-        alive = set(answered)
-        return [c for c in self.clients if c.client_id in alive]
+        return set(answered)
 
     # -- per stage --------------------------------------------------------------------
 
@@ -262,7 +273,7 @@ class Coordinator:
                     # probe degraded too means ambient interference
                     # (latency storm, middleware stall), not queueing
                     healthy = yield from self._health_probe(
-                        stage, live, pool, stage_result, epoch
+                        stage, pool, stage_result, epoch
                     )
                     if healthy:
                         sick_streak = 0
@@ -377,11 +388,7 @@ class Coordinator:
         current stage only if it still holds usable base measurements,
         otherwise at the next stage's delay computation.
         """
-        answered: List[str] = []
-        for client in live:
-            client.probe(answered.append)
-        yield self.config.liveness_timeout_s
-        alive = set(answered)
+        alive = yield from self._probe(live)
         self._quarantined = {c.client_id for c in live} - alive
         if stage_result is not None:
             stage_result.quarantined_clients = max(
@@ -486,7 +493,6 @@ class Coordinator:
     def _health_probe(
         self,
         stage: StagePlan,
-        live: List[MFCClient],
         pool: List[MFCClient],
         stage_result: StageResult,
         epoch: Optional[EpochResult] = None,
@@ -524,9 +530,8 @@ class Coordinator:
         if not probers:
             probers = [pool[0]]
         for client in probers:
-            index = live.index(client)
             status, normalized = yield from client.probe_unloaded(
-                stage.object_for(index),
+                stage.object_for(self._position[client.client_id]),
                 stage.method,
                 body_bytes=stage.body_bytes,
                 connections=stage.connections,
@@ -535,6 +540,26 @@ class Coordinator:
             if status is Status.OK and normalized <= self.config.threshold_s:
                 return True
         return False
+
+    # -- fan-out groups ----------------------------------------------------------------
+
+    def _groups(
+        self, clients: List[MFCClient], live: List[MFCClient], stage: StagePlan
+    ) -> List[Cohort]:
+        """Partition *clients* into fan-out groups, in their order:
+        weighted cohorts, or (exact mode) singletons that are their own
+        representative, weight 1, with no meter."""
+        if self.crowd_mode == "cohort":
+            return group_cohorts(clients, live, stage)
+        return [
+            Cohort(
+                key=c.client_id,
+                members=[c],
+                paths={c.client_id: stage.object_for(self._position[c.client_id])},
+                rep=c,
+            )
+            for c in clients
+        ]
 
     def _delay_computation(
         self, stage: StagePlan, live: List[MFCClient], skip: frozenset = frozenset()
@@ -546,6 +571,13 @@ class Coordinator:
         stall the phase for a kill-timer interval per probe.  Object
         assignment stays indexed by position in *live*, so skipping
         never shifts anyone else's object.
+
+        Each group's representative takes one real T_target + base
+        measurement; other cohort members get an RTT draw from their own
+        latency stream and a base synthesized from the representative's,
+        shifted by the RTT difference — every member still lands in the
+        estimates so the hardened pool-eligibility logic sees the full
+        fleet.
         """
         estimates: Dict[str, DelayEstimates] = {}
         # T_coord: coordinator pings every client in parallel
@@ -557,53 +589,13 @@ class Coordinator:
             )
         yield self.config.liveness_timeout_s
 
-        if self.crowd_mode == "cohort":
-            yield from self._measure_cohorts(
-                stage, live, skip, coord_rtts, estimates
-            )
-            return estimates
-
         # T_target + base response times: strictly sequential so the
         # measurements do not impact each other (§2.2.3)
-        for index, client in enumerate(live):
-            if client.client_id in skip:
-                continue
-            target_rtt = yield from client.measure_target_rtt()
-            path = stage.object_for(index)
-            yield from client.measure_base(
-                [path],
-                stage.method,
-                body_bytes=stage.body_bytes,
-                connections=stage.connections,
-            )
-            estimates[client.client_id] = DelayEstimates(
-                client_id=client.client_id,
-                coord_rtt_s=coord_rtts.get(
-                    client.client_id, client.node.latency_to_coord.base_rtt
-                ),
-                target_rtt_s=target_rtt,
-            )
-        return estimates
-
-    def _measure_cohorts(
-        self,
-        stage: StagePlan,
-        live: List[MFCClient],
-        skip: frozenset,
-        coord_rtts: Dict[str, float],
-        estimates: Dict[str, DelayEstimates],
-    ) -> Generator:
-        """Cohort-mode delay computation: one real sequential
-        T_target + base measurement per *cohort* (the representative);
-        members get an RTT draw from their own latency stream and a
-        base synthesized from the representative's, shifted by the RTT
-        difference — every live member still lands in *estimates* so
-        the hardened pool-eligibility logic sees the full fleet."""
         eligible = [c for c in live if c.client_id not in skip]
-        for cohort in group_cohorts(eligible, live, stage):
-            rep = cohort.rep
+        for group in self._groups(eligible, live, stage):
+            rep = group.rep
             rep_rtt = yield from rep.measure_target_rtt()
-            rep_path = cohort.paths[rep.client_id]
+            rep_path = group.paths[rep.client_id]
             yield from rep.measure_base(
                 [rep_path],
                 stage.method,
@@ -611,7 +603,7 @@ class Coordinator:
                 connections=stage.connections,
             )
             rep_base = rep.base_times[rep_path]
-            for member in cohort.members:
+            for member in group.members:
                 if member is rep:
                     target_rtt = rep_rtt
                 else:
@@ -619,7 +611,7 @@ class Coordinator:
                     # stream: distributionally exact (spikes included)
                     target_rtt = member.node.latency_to_target.sample_rtt()
                     member.measured_target_rtt = target_rtt
-                    member.base_times[cohort.paths[member.client_id]] = max(
+                    member.base_times[group.paths[member.client_id]] = max(
                         0.0,
                         rep_base
                         + 2.0 * stage.connections * (target_rtt - rep_rtt),
@@ -631,15 +623,9 @@ class Coordinator:
                     ),
                     target_rtt_s=target_rtt,
                 )
+        return estimates
 
     # -- per epoch --------------------------------------------------------------------
-
-    def _select_participants(
-        self, live: List[MFCClient], n_clients: int
-    ) -> List[MFCClient]:
-        if self.config.random_client_selection:
-            return self._rng.sample(live, n_clients)
-        return live[:n_clients]
 
     def _run_epoch(
         self,
@@ -650,45 +636,58 @@ class Coordinator:
         pool: List[MFCClient],
         estimates: Dict[str, DelayEstimates],
     ) -> Generator:
-        if self.crowd_mode == "cohort":
-            epoch = yield from self._run_epoch_cohort(
-                stage, crowd, label, live, pool, estimates
-            )
-            return epoch
+        """One epoch: one command per group representative.
+
+        Exact-mode singletons report over the control channel into the
+        mailbox; cohort representatives fire weighted macro-requests
+        that fill a per-group meter, from which every member's report
+        is synthesized after the drain.
+        """
         self._epoch_seq += 1
         epoch_key = (stage.name, self._epoch_seq)
         m = self.config.requests_per_client
         n_clients = min(math.ceil(crowd / m), len(pool))
-        participants = self._select_participants(pool, n_clients)
+        participants = (
+            self._rng.sample(pool, n_clients)
+            if self.config.random_client_selection
+            else pool[:n_clients]
+        )
         scheduled_requests = n_clients * m
 
-        part_estimates = [estimates[c.client_id] for c in participants]
+        groups = self._groups(participants, live, stage)
+        rep_estimates = [estimates[g.rep.client_id] for g in groups]
         now = self.sim.now
         if self.use_naive_scheduling:
-            plans = naive_plan(now, part_estimates)
+            plans = naive_plan(now, rep_estimates)
             target_time = now
         else:
             target_time = (
-                self.scheduler.earliest_feasible_T(now, part_estimates)
+                self.scheduler.earliest_feasible_T(now, rep_estimates)
                 + self.config.schedule_lead_s
             )
-            plans = self.scheduler.plan(now, target_time, part_estimates)
+            plans = self.scheduler.plan(now, target_time, rep_estimates)
 
-        by_id = {c.client_id: c for c in participants}
-        for plan in plans:
-            client = by_id[plan.client_id]
-            index = live.index(client)
+        cohort_mode = self.crowd_mode == "cohort"
+        # one plan per group, in group order
+        for group, plan in zip(groups, plans):
+            rep = group.rep
+            if cohort_mode:
+                group.meter = CohortMeter(
+                    group.weight, pipe=self._cohort_pipe(group)
+                )
             command = RequestCommand(
                 epoch_key=epoch_key,
-                path=stage.object_for(index),
+                path=group.paths[rep.client_id],
                 method=stage.method,
                 n_parallel=m,
                 body_bytes=stage.body_bytes,
                 connections=stage.connections,
+                weight=group.weight,
+                meter=group.meter,
             )
             self.sim.call_at(
                 plan.dispatch_time,
-                lambda c=client, cmd=command: self.control.send(
+                lambda c=rep, cmd=command: self.control.send(
                     c.node.latency_to_coord, c.execute_command, cmd
                 ),
             )
@@ -702,21 +701,26 @@ class Coordinator:
         yield max(drain_until - self.sim.now, 0.0)
 
         reports = self._mailbox.pop(epoch_key, [])
-        return self._finish_epoch(
-            stage, label, scheduled_requests, n_clients, target_time, reports
-        )
+        if cohort_mode:
+            # representatives never report over the control channel in
+            # cohort mode; everything is synthesized here
+            drain = epoch_drain_s(groups)
+            ramp = epoch_ramp_fraction(groups, drain)
+            for group, plan in zip(groups, plans):
+                reports.extend(
+                    synthesize_cohort_reports(
+                        group,
+                        self.config,
+                        self._cohort_rng,
+                        self.control.loss_prob,
+                        group.rep.fault_gate,
+                        plan.intended_arrival,
+                        drain,
+                        connections=stage.connections,
+                        ramp=ramp,
+                    )
+                )
 
-    def _finish_epoch(
-        self,
-        stage: StagePlan,
-        label: EpochLabel,
-        scheduled_requests: int,
-        n_clients: int,
-        target_time: float,
-        reports: List[ClientReport],
-    ) -> EpochResult:
-        """Assemble the epoch record + degradation aggregate from the
-        collected (or synthesized) reports."""
         epoch = EpochResult(
             index=self._epoch_seq,
             label=label,
@@ -750,8 +754,6 @@ class Coordinator:
             epoch.degraded = epoch.aggregate_normalized_s > self.config.threshold_s
         return epoch
 
-    # -- cohort mode -------------------------------------------------------------------
-
     def _cohort_pipe(self, cohort: Cohort):
         """Get or create the cohort's macro-flow access link, sized to
         the whole cohort's aggregate access capacity this epoch."""
@@ -765,97 +767,3 @@ class Coordinator:
         else:
             self.network.set_capacity(pipe, capacity)
         return pipe
-
-    def _run_epoch_cohort(
-        self,
-        stage: StagePlan,
-        crowd: int,
-        label: EpochLabel,
-        live: List[MFCClient],
-        pool: List[MFCClient],
-        estimates: Dict[str, DelayEstimates],
-    ) -> Generator:
-        """One epoch as O(cohorts) weighted macro-requests.
-
-        Participant selection, synchronization arithmetic and the drain
-        window mirror the exact path; only the fan-out differs — one
-        representative command per cohort, per-member reports
-        synthesized from the occupancy ledger after the drain.
-        """
-        self._epoch_seq += 1
-        epoch_key = (stage.name, self._epoch_seq)
-        m = self.config.requests_per_client
-        n_clients = min(math.ceil(crowd / m), len(pool))
-        participants = self._select_participants(pool, n_clients)
-        scheduled_requests = n_clients * m
-
-        cohorts = group_cohorts(participants, live, stage)
-        rep_estimates = [estimates[c.rep.client_id] for c in cohorts]
-        now = self.sim.now
-        if self.use_naive_scheduling:
-            plans = naive_plan(now, rep_estimates)
-            target_time = now
-        else:
-            target_time = (
-                self.scheduler.earliest_feasible_T(now, rep_estimates)
-                + self.config.schedule_lead_s
-            )
-            plans = self.scheduler.plan(now, target_time, rep_estimates)
-
-        by_rep = {c.rep.client_id: c for c in cohorts}
-        index_of = {c.client_id: i for i, c in enumerate(live)}
-        arrivals: Dict[Tuple, float] = {}
-        for plan in plans:
-            cohort = by_rep[plan.client_id]
-            arrivals[cohort.key] = plan.intended_arrival
-            cohort.meter = CohortMeter(
-                cohort.weight, pipe=self._cohort_pipe(cohort)
-            )
-            command = RequestCommand(
-                epoch_key=epoch_key,
-                path=stage.object_for(index_of[cohort.rep.client_id]),
-                method=stage.method,
-                n_parallel=m,
-                body_bytes=stage.body_bytes,
-                connections=stage.connections,
-                weight=cohort.weight,
-                meter=cohort.meter,
-            )
-            self.sim.call_at(
-                plan.dispatch_time,
-                lambda c=cohort.rep, cmd=command: self.control.send(
-                    c.node.latency_to_coord, c.execute_command, cmd
-                ),
-            )
-
-        drain_until = (
-            max(p.intended_arrival for p in plans)
-            + self.config.epoch_gap_s
-            + self.config.report_slack_s
-        )
-        yield max(drain_until - self.sim.now, 0.0)
-
-        # representatives never report over the control channel in
-        # cohort mode; everything is synthesized here
-        self._mailbox.pop(epoch_key, None)
-        drain = epoch_drain_s(cohorts)
-        ramp = epoch_ramp_fraction(cohorts, drain)
-        reports: List[ClientReport] = []
-        for cohort in cohorts:
-            reports.extend(
-                synthesize_cohort_reports(
-                    cohort,
-                    self.config,
-                    self._cohort_rng,
-                    self.control.loss_prob,
-                    cohort.rep.fault_gate,
-                    arrivals.get(cohort.key, target_time),
-                    drain,
-                    connections=stage.connections,
-                    ramp=ramp,
-                )
-            )
-            cohort.meter = None
-        return self._finish_epoch(
-            stage, label, scheduled_requests, n_clients, target_time, reports
-        )

@@ -19,7 +19,7 @@ arrival by ``k · stagger_interval``.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence
+from typing import List, Optional, Sequence
 
 
 @dataclass(frozen=True)
@@ -29,8 +29,6 @@ class DelayEstimates:
     client_id: str
     coord_rtt_s: float      # T_coord(i), measured by coordinator ping
     target_rtt_s: float     # T_target(i), measured by the client
-    #: base response time per object path the client will request
-    base_response_s: Optional[Dict[str, float]] = None
 
 
 @dataclass(frozen=True)

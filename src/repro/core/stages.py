@@ -123,14 +123,6 @@ class StagePlan:
             return self.object_paths[0]
         return self.object_paths[client_index % len(self.object_paths)]
 
-    @property
-    def kind(self) -> Optional[StageKind]:
-        """The paper's :class:`StageKind`, None for post-paper stages."""
-        try:
-            return StageKind(self.name)
-        except ValueError:
-            return None
-
 
 @dataclass(frozen=True)
 class ProbeStage:
@@ -320,13 +312,6 @@ register_stage(
 
 
 # -- stage-sequence construction -----------------------------------------------
-
-
-def build_stage(kind: StageKind, profile: ContentProfile) -> Optional[StagePlan]:
-    """Construct one paper stage from a content profile; None if ineligible."""
-    if not isinstance(kind, StageKind):
-        raise ValueError(f"unknown stage kind: {kind!r}")
-    return STAGES[kind.value].plan(profile)
 
 
 def standard_stages(profile: ContentProfile) -> List[StagePlan]:

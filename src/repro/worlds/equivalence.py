@@ -8,13 +8,13 @@ experiment-level one: **for every registry scenario, the cohort-mode
 world must reach the same provisioning verdicts as the exact world,
 with any stopping crowd (knee) within a small tolerance.**
 
-:func:`equivalence_grid` runs that contract as a paired grid, in the
-style of the chaos grid (:mod:`repro.faults.chaos`): for each scenario
-one exact world and one cohort world — same scenario, fleet, config
-and seed; ``crowd_mode`` is the only difference.  Both are ordinary
-deterministic campaign jobs, so the grid parallelizes, caches and
-resumes through :func:`~repro.campaign.executor.iter_campaign` like
-any campaign.  Per stage the pair must satisfy:
+:func:`equivalence_grid` runs that contract on the paired-grid runner
+the chaos grid uses too (:class:`~repro.worlds.grid.PairedGrid`): for
+each scenario one exact world and one cohort world — same scenario,
+fleet, config and seed; ``crowd_mode`` is the only difference.  Both
+are ordinary deterministic campaign jobs, so the grid parallelizes,
+caches and resumes like any campaign.  Per stage the pair must
+satisfy:
 
     ok  ⇔  cohort verdict == exact verdict
            or either verdict ∈ {inconclusive, unknown}
@@ -37,22 +37,32 @@ and ``repro equiv`` make.
 from __future__ import annotations
 
 from dataclasses import replace
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Union
 
-from repro.campaign.executor import iter_campaign
-from repro.campaign.spec import JobSpec, derive_site_seed
+from repro.campaign.spec import JobSpec
 from repro.campaign.store import ResultStore
 from repro.core.config import MFCConfig
-from repro.core.inference import Provisioning, infer_constraints
-from repro.core.records import MFCResult, StageOutcome
-from repro.faults.chaos import _SOFT_VERDICTS, _cap_boundary, chaos_config, chaos_fleet
+from repro.core.records import StageOutcome
 from repro.workload.fleet import FleetSpec
+from repro.worlds.grid import (
+    SOFT_VERDICTS,
+    Arm,
+    PairedGrid,
+    cap_boundary,
+    grid_config,
+    grid_fleet,
+)
 from repro.worlds.registry import SCENARIO_PRESETS
-from repro.worlds.spec import WorldSpec
 
 #: the --quick slice: one static single box, one query-heavy site and
 #: one cluster — the three structurally different server shapes
 QUICK_SCENARIOS = ("lab", "qtnp", "qtp")
+
+#: exact world first (the base every cohort verdict is compared to)
+_ARMS = (
+    Arm("exact", "exact"),
+    Arm("cohort", "cohort", lambda world: replace(world, crowd_mode="cohort")),
+)
 
 
 def _near_cap(stopped, clean, tolerance: int) -> bool:
@@ -62,7 +72,7 @@ def _near_cap(stopped, clean, tolerance: int) -> bool:
     resolution when ``s ≥ L − tolerance``: the clean run's evidence
     only ever reached crowd ``L``, so it cannot distinguish a knee at
     ``s`` just inside the cap from one just past it.  (The exact-stop
-    twin of this rule, ``s == L``, is :func:`~repro.faults.chaos._cap_boundary`.)
+    twin of this rule, ``s == L``, is :func:`~repro.worlds.grid.cap_boundary`.)
     """
     if stopped is None or clean is None:
         return False
@@ -82,6 +92,18 @@ def knee_tolerance(config: MFCConfig) -> int:
     return max(2 * config.crowd_step, int(0.3 * config.max_crowd))
 
 
+def _equivalence_grid(
+    scenarios: Sequence[str],
+    seed: int = 0,
+    config: Optional[MFCConfig] = None,
+    fleet: Optional[FleetSpec] = None,
+) -> PairedGrid:
+    return PairedGrid(
+        "equiv", "mode", _ARMS, tuple(scenarios), seed,
+        config or grid_config(), fleet or grid_fleet(),
+    )
+
+
 def plan_equivalence_jobs(
     scenarios: Sequence[str],
     seed: int = 0,
@@ -89,29 +111,7 @@ def plan_equivalence_jobs(
     fleet: Optional[FleetSpec] = None,
 ) -> List[JobSpec]:
     """One exact + one cohort world per scenario, same seed/config."""
-    config = config if config is not None else chaos_config()
-    fleet = fleet if fleet is not None else chaos_fleet()
-    jobs: List[JobSpec] = []
-    for index, name in enumerate(scenarios):
-        if name not in SCENARIO_PRESETS:
-            raise ValueError(
-                f"unknown scenario {name!r} (have: {sorted(SCENARIO_PRESETS)})"
-            )
-        base = WorldSpec(
-            scenario=SCENARIO_PRESETS[name](),
-            fleet=fleet,
-            config=config,
-            seed=derive_site_seed(seed, index),
-        )
-        for mode, world in (("exact", base), ("cohort", replace(base, crowd_mode="cohort"))):
-            jobs.append(
-                JobSpec.from_world(
-                    f"equiv|{name}|{mode}|seed{seed}",
-                    world,
-                    meta={"scenario": name, "mode": mode},
-                )
-            )
-    return jobs
+    return _equivalence_grid(scenarios, seed, config, fleet).plan()
 
 
 def equivalence_grid(
@@ -132,19 +132,13 @@ def equivalence_grid(
     """
     if scenarios is None:
         scenarios = QUICK_SCENARIOS if quick else tuple(SCENARIO_PRESETS)
-    config = config if config is not None else chaos_config()
+    config = config if config is not None else grid_config()
 
-    plan = plan_equivalence_jobs(scenarios, seed=seed, config=config, fleet=fleet)
-    results: Dict[Tuple[str, str], MFCResult] = {}
-    for outcome in iter_campaign(
-        plan, jobs=jobs, batch=batch, store=store, progress=progress
-    ):
-        results[(outcome.meta["scenario"], outcome.meta["mode"])] = outcome.result
-
+    grid = _equivalence_grid(scenarios, seed, config, fleet)
     tolerance = knee_tolerance(config)
     rows: List[Dict] = []
     counts = {
-        "worlds": len(plan),
+        "worlds": len(scenarios) * len(grid.arms),
         "compared": 0,
         "matched": 0,
         "soft": 0,
@@ -153,25 +147,19 @@ def equivalence_grid(
         "knee_out_of_tolerance": 0,
         "verdict_mismatches": 0,
     }
-    for name in scenarios:
-        exact = results[(name, "exact")]
-        cohort = results[(name, "cohort")]
-        exact_verdicts = dict(infer_constraints(exact).verdicts)
-        cohort_verdicts = dict(infer_constraints(cohort).verdicts)
-        for stage in exact.stages:
-            e = exact_verdicts.get(stage, Provisioning.UNKNOWN)
-            c = cohort_verdicts.get(stage, Provisioning.UNKNOWN)
-            e_stage = exact.stages.get(stage)
-            c_stage = cohort.stages.get(stage)
+    for cell in grid.run(jobs=jobs, batch=batch, store=store, progress=progress):
+        for pair in cell.pairs:
+            e, c = pair.base, pair.variant
+            e_stage, c_stage = pair.base_stage, pair.variant_stage
             boundary = c != e and (
-                _cap_boundary(e_stage, c_stage)
+                cap_boundary(e_stage, c_stage)
                 or _near_cap(e_stage, c_stage, tolerance)
                 or _near_cap(c_stage, e_stage, tolerance)
             )
             verdict_ok = (
                 c == e
-                or c in _SOFT_VERDICTS
-                or e in _SOFT_VERDICTS
+                or c in SOFT_VERDICTS
+                or e in SOFT_VERDICTS
                 or boundary
             )
             knee_ok = True
@@ -200,8 +188,8 @@ def equivalence_grid(
                 counts["knee_out_of_tolerance"] += 1
             rows.append(
                 {
-                    "scenario": name,
-                    "stage": stage,
+                    "scenario": cell.scenario,
+                    "stage": pair.stage,
                     "exact": e.value,
                     "cohort": c.value,
                     "exact_stop": e_stop,

@@ -214,7 +214,7 @@ def test_stage_skipped_when_no_large_object():
         config=MFCConfig(min_clients=50, max_crowd=20),
         seed=1,
     )
-    assert all(s.kind is not StageKind.LARGE_OBJECT for s in runner.stages)
+    assert all(s.name != StageKind.LARGE_OBJECT.value for s in runner.stages)
 
 
 def test_mfc_requests_marked_in_access_log():

@@ -17,7 +17,7 @@ from repro.core.records import (
     StageOutcome,
     StageResult,
 )
-from repro.core.stages import StageKind, build_stage, standard_stages
+from repro.core.stages import STAGES, StageKind, standard_stages
 from repro.server.http import Method
 
 import random
@@ -269,13 +269,16 @@ def test_mfc_result_aborted_summary():
 def test_standard_stages_full_site():
     profile = profile_site(minimal_site())
     stages = standard_stages(profile)
-    kinds = [s.kind for s in stages]
-    assert kinds == [StageKind.BASE, StageKind.SMALL_QUERY, StageKind.LARGE_OBJECT]
+    assert [s.name for s in stages] == [
+        StageKind.BASE.value,
+        StageKind.SMALL_QUERY.value,
+        StageKind.LARGE_OBJECT.value,
+    ]
 
 
 def test_base_stage_head_method():
     profile = profile_site(minimal_site())
-    base = build_stage(StageKind.BASE, profile)
+    base = STAGES[StageKind.BASE.value].plan(profile)
     assert base.method is Method.HEAD
     assert base.degradation_quantile == 0.5
     assert base.object_for(0) == profile.base_page
@@ -283,21 +286,21 @@ def test_base_stage_head_method():
 
 def test_large_object_stage_same_object_for_all():
     profile = profile_site(minimal_site())
-    stage = build_stage(StageKind.LARGE_OBJECT, profile)
+    stage = STAGES[StageKind.LARGE_OBJECT.value].plan(profile)
     assert stage.degradation_quantile == 0.9
     assert stage.object_for(0) == stage.object_for(17)
 
 
 def test_small_query_unique_assignment():
     profile = profile_site(minimal_site(n_unique_queries=10))
-    stage = build_stage(StageKind.SMALL_QUERY, profile)
+    stage = STAGES[StageKind.SMALL_QUERY.value].plan(profile)
     paths = {stage.object_for(i) for i in range(10)}
     assert len(paths) == 10
 
 
 def test_stage_skipped_without_objects():
     profile = profile_site(minimal_site(large_object_bytes=10_000))
-    assert build_stage(StageKind.LARGE_OBJECT, profile) is None
+    assert STAGES[StageKind.LARGE_OBJECT.value].plan(profile) is None
 
 
 def test_profile_site_respects_budget():

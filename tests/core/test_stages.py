@@ -14,7 +14,6 @@ from repro.core.stages import (
     ProbeStage,
     StageKind,
     StagePlan,
-    build_stage,
     register_stage,
     stage_named,
     stages_named,
@@ -93,21 +92,13 @@ def test_standard_stages_match_seed_recipes():
     assert all(p.body_bytes == 0.0 and p.connections == 1 for p in plans)
 
 
-def test_build_stage_equals_registry_plan():
-    profile = full_profile()
-    for kind in StageKind:
-        assert build_stage(kind, profile) == STAGES[kind.value].plan(profile)
-
-
-def test_build_stage_rejects_non_kinds():
-    with pytest.raises(ValueError, match="unknown stage kind"):
-        build_stage("Base", full_profile())
-
-
 def test_stage_plan_kind_maps_back_to_legacy_enum():
     profile = full_profile()
-    assert build_stage(StageKind.BASE, profile).kind is StageKind.BASE
-    assert STAGES["Upload"].plan(profile).kind is None
+    for kind in StageKind:
+        assert StageKind(STAGES[kind.value].plan(profile).name) is kind
+    # post-paper stages exist only as registry names
+    with pytest.raises(ValueError):
+        StageKind(STAGES["Upload"].plan(profile).name)
 
 
 # -- new stage recipes -----------------------------------------------------------

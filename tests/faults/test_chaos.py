@@ -11,11 +11,11 @@ from repro.core.records import StageOutcome, StageResult
 from repro.faults.chaos import (
     QUICK_FAULTS,
     QUICK_SCENARIOS,
-    _cap_boundary,
     chaos_grid,
     format_report,
     plan_chaos_jobs,
 )
+from repro.worlds.grid import cap_boundary
 
 
 def stage(outcome, stop=None, largest=40):
@@ -58,22 +58,22 @@ def test_plan_rejects_unknown_names():
 def test_stop_at_the_cap_overlaps_a_nostop_at_the_cap():
     stopped = stage(StageOutcome.STOPPED, stop=40)
     clean = stage(StageOutcome.NO_STOP)
-    assert _cap_boundary(stopped, clean)
-    assert _cap_boundary(clean, stopped)  # symmetric
+    assert cap_boundary(stopped, clean)
+    assert cap_boundary(clean, stopped)  # symmetric
 
 
 def test_stop_inside_the_tested_range_is_a_real_disagreement():
     stopped = stage(StageOutcome.STOPPED, stop=25)
     clean = stage(StageOutcome.NO_STOP)
-    assert not _cap_boundary(stopped, clean)
+    assert not cap_boundary(stopped, clean)
 
 
 def test_cap_boundary_needs_a_stop_nostop_pair():
     clean = stage(StageOutcome.NO_STOP)
-    assert not _cap_boundary(clean, stage(StageOutcome.NO_STOP))
-    assert not _cap_boundary(clean, stage(StageOutcome.ABORTED))
-    assert not _cap_boundary(None, clean)
-    assert not _cap_boundary(clean, None)
+    assert not cap_boundary(clean, stage(StageOutcome.NO_STOP))
+    assert not cap_boundary(clean, stage(StageOutcome.ABORTED))
+    assert not cap_boundary(None, clean)
+    assert not cap_boundary(clean, None)
 
 
 # -- the quick grid ---------------------------------------------------------------

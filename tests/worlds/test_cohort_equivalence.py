@@ -13,7 +13,7 @@ from repro.worlds.equivalence import (
     knee_tolerance,
     plan_equivalence_jobs,
 )
-from repro.faults.chaos import chaos_config
+from repro.worlds.grid import grid_config
 
 
 def test_quick_grid_has_no_verdict_mismatches():
@@ -64,7 +64,7 @@ def test_exact_and_cohort_worlds_hash_apart():
 
 
 def test_knee_tolerance_tracks_the_ramp_resolution():
-    config = chaos_config()
+    config = grid_config()
     tol = knee_tolerance(config)
     assert tol == max(2 * config.crowd_step, int(0.3 * config.max_crowd))
     assert tol >= 2 * config.crowd_step
