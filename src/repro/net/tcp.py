@@ -148,18 +148,7 @@ class TcpModel:
         access link turns it bandwidth-bound — which is exactly the
         transition the Large Object stage detects.
         """
-        if size_bytes <= 0:
-            return 0.0
-        from repro.sim.events import AllOf
-
-        floor = sim.timeout(self.latency_floor_s(size_bytes, rtt))
-        transfer = network.start_transfer(links, size_bytes)
-        try:
-            yield AllOf(sim, [floor, transfer.done])
-        finally:
-            if transfer.active:
-                network.abort(transfer)
-        return size_bytes
+        return self.download_weighted(sim, network, links, size_bytes, rtt, 1)
 
     def download_weighted(
         self,
@@ -179,19 +168,28 @@ class TcpModel:
         each member's completion time under that contention (all
         members of a cohort launch the same instant and move the same
         bytes).  The slow-start latency floor stays per-member: window
-        growth happens in every member's own connection.
+        growth happens in every member's own connection.  A *weight*
+        of 1 is a plain :meth:`download`.
         """
         if size_bytes <= 0:
             return 0.0
-        if weight <= 1:
-            result = yield from self.download(sim, network, links, size_bytes, rtt)
-            return result
-        from repro.sim.events import AllOf
-
-        floor = sim.timeout(self.latency_floor_s(size_bytes, rtt))
-        transfer = network.start_transfer(links, size_bytes * weight, weight=weight)
+        floor_s = self.latency_floor_s(size_bytes, rtt)
+        if weight > 1:
+            transfer = network.start_transfer(
+                links, size_bytes * weight, weight=weight
+            )
+        else:
+            transfer = network.start_transfer(links, size_bytes)
+        # wait for the later of the floor and the transfer.  The
+        # closing zero-delay hop is pushed while the later of the two
+        # fires, the slot a condition event over both would take, so
+        # same-instant resumes keep their order (nothing else
+        # subscribes to transfer.done)
         try:
-            yield AllOf(sim, [floor, transfer.done])
+            yield floor_s
+            if not transfer.done.processed:
+                yield transfer.done
+            yield 0.0
         finally:
             if transfer.active:
                 network.abort(transfer)

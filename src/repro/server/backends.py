@@ -150,13 +150,7 @@ class MongrelBackend(DynamicBackend):
         self.pool = Resource(sim, spec.mongrel_pool_size, name="mongrel.pool")
 
     def handle(self, query: WebObject, weight: int = 1, meter=None) -> Generator:
-        grant = self.pool.request()
-        if meter is not None and not grant.triggered:
-            queued_at = self.sim.now
-            yield grant
-            meter.waited(self.sim.now - queued_at)
-        else:
-            yield grant
+        grant = yield from self.pool.acquire(meter)
         held_from = self.sim.now
         try:
             yield from self.resources.consume_cpu(

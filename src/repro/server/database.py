@@ -94,13 +94,7 @@ class Database:
             )
             return True
 
-        grant = self.connections.request()
-        if meter is not None and not grant.triggered:
-            queued_at = self.sim.now
-            yield grant
-            meter.waited(self.sim.now - queued_at)
-        else:
-            yield grant
+        grant = yield from self.connections.acquire(meter)
         try:
             scan_s = query.db_rows / self.spec.row_scan_rate
             service_s = (self.spec.per_query_overhead_s + scan_s) * swap_factor
@@ -113,13 +107,7 @@ class Database:
             meter.demand(self.connections, service_s, weight)
 
         if self._contention is not None:
-            hop = self._contention.request()
-            if meter is not None and not hop.triggered:
-                queued_at = self.sim.now
-                yield hop
-                meter.waited(self.sim.now - queued_at)
-            else:
-                yield hop
+            hop = yield from self._contention.acquire(meter)
             try:
                 hop_s = self.spec.contention_point_s * swap_factor
                 yield hop_s

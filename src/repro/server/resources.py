@@ -153,8 +153,7 @@ class ServerResources:
 
     def free_memory(self, amount: float) -> None:
         """Release a prior allocation."""
-        taken = self.memory.get(amount)
-        if not taken.triggered:
+        if not self.memory.try_get(amount):
             raise RuntimeError(f"{self.spec.name}: freeing unallocated memory")
 
     # -- service helpers -----------------------------------------------------------
@@ -170,13 +169,7 @@ class ServerResources:
         """
         if seconds <= 0:
             return
-        grant = self.cpu.request()
-        if meter is not None and not grant.triggered:
-            queued_at = self.sim.now
-            yield grant
-            meter.waited(self.sim.now - queued_at)
-        else:
-            yield grant
+        grant = yield from self.cpu.acquire(meter)
         try:
             duration = seconds / self.spec.cpu_speed * self.swap_factor()
             yield duration
@@ -189,13 +182,7 @@ class ServerResources:
 
     def read_disk(self, size_bytes: float, weight: int = 1, meter=None) -> Generator:
         """Process body: seek + stream *size_bytes* off the disk."""
-        grant = self.disk.request()
-        if meter is not None and not grant.triggered:
-            queued_at = self.sim.now
-            yield grant
-            meter.waited(self.sim.now - queued_at)
-        else:
-            yield grant
+        grant = yield from self.disk.acquire(meter)
         try:
             duration = (
                 self.spec.disk_seek_s + size_bytes / self.spec.disk_bandwidth_bps

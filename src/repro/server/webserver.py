@@ -213,13 +213,7 @@ class SimWebServer:
                     )
 
             self._worker_load_weight += admitted
-            worker = self.resources.workers.request()
-            if meter is not None and not worker.triggered:
-                queued_at = self.sim.now
-                yield worker
-                meter.waited(self.sim.now - queued_at)
-            else:
-                yield worker
+            worker = yield from self.resources.workers.acquire(meter)
             worker_from = self.sim.now
             if weight == 1:
                 got_memory = self.resources.allocate_memory(

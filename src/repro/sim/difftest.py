@@ -5,12 +5,15 @@ identical* to the frozen seed heap (:mod:`repro.sim._seed_kernel`).
 This module makes that claim testable: it generates random operation
 sequences — schedules, cancellations, reschedules, duplicate
 timestamps, cancel-inside-callback, zero / sub-ulp / negative-clamped
-delays, instant-end transactions, full Events — replays each sequence
-on both kernels, and compares the complete observation logs:
+delays, instant-end transactions, full Events, processes that sleep,
+wait on events and spawn (and wait on) children, interrupts — replays
+each sequence on both kernels, and compares the complete observation
+logs:
 
 - every callback / event / instant-end firing ``(kind, op id, now)``
-  in order — this pins both the fire *order* and the ``now()``
-  trajectory at every fire;
+  and every process step ``("proc", op id, step, value, now)`` in
+  order — this pins both the fire *order* and the ``now()``
+  trajectory at every fire, process start included;
 - every error raised, recorded by exception *type name* (the frozen
   copy has its own ``SimulationError`` class, so identity comparison
   would be vacuously false);
@@ -39,6 +42,7 @@ from typing import Any, Callable, List, Optional, Sequence, Tuple
 
 from repro.sim import _seed_kernel
 from repro.sim.kernel import Simulator
+from repro.sim.process import Interrupt
 
 #: default horizon passed to ``run(until=...)`` — chosen below the
 #: maximum palette delay so some sequences leave unfired entries
@@ -103,29 +107,52 @@ def _gen_nested(rng: random.Random, next_id: List[int], depth: int, budget: List
     return nested
 
 
+def _gen_steps(rng: random.Random, next_id: List[int], depth: int, budget: List[int]) -> List[Tuple]:
+    """A process body: sleeps, event waits and (nested) spawns."""
+    steps: List[Tuple] = []
+    for _ in range(rng.randint(1, 4)):
+        roll = rng.random()
+        if roll < 0.45:
+            steps.append(("sleep", _gen_delay(rng, allow_negative=False)))
+        elif roll < 0.8 or depth >= 2 or budget[0] <= 0:
+            steps.append(("event", _gen_delay(rng, allow_negative=False)))
+        else:
+            budget[0] -= 1
+            cid = next_id[0]
+            next_id[0] += 1
+            child = _gen_steps(rng, next_id, depth + 1, budget)
+            steps.append(("spawn", cid, child, rng.random() < 0.5))
+    return steps
+
+
 def _gen_op(rng: random.Random, next_id: List[int], depth: int, budget: List[int]) -> Op:
     oid = next_id[0]
     next_id[0] += 1
     roll = rng.random()
-    if roll < 0.32:
+    if roll < 0.28:
         return ("call_in", oid, _gen_delay(rng), _gen_nested(rng, next_id, depth, budget))
-    if roll < 0.48:
+    if roll < 0.42:
         # call_at relative to now-at-execution; negative offsets probe
         # the "in the past" rejection from inside a callback
         return ("call_at_rel", oid, _gen_delay(rng), _gen_nested(rng, next_id, depth, budget))
-    if roll < 0.62:
+    if roll < 0.55:
         # target any op id, even ones scheduled later / never / already
         # fired — cancel must be an identical no-op on both kernels
         return ("cancel", oid, rng.randrange(max(1, next_id[0] + rng.randrange(8))))
-    if roll < 0.72:
+    if roll < 0.64:
         return (
             "reschedule",
             oid,
             rng.randrange(max(1, next_id[0] + rng.randrange(8))),
             _gen_delay(rng, allow_negative=False),
         )
-    if roll < 0.84:
+    if roll < 0.76:
         return ("event", oid, _gen_delay(rng), _gen_nested(rng, next_id, depth, budget))
+    if roll < 0.86:
+        return ("spawn", oid, _gen_steps(rng, next_id, depth, budget))
+    if roll < 0.89:
+        # like cancel: any op id, a live process or not
+        return ("interrupt", oid, rng.randrange(max(1, next_id[0] + rng.randrange(8))))
     return ("instant", oid, _gen_nested(rng, next_id, depth, budget))
 
 
@@ -162,6 +189,28 @@ def replay(
     sim = sim_cls()
     obs: List[Tuple[Any, ...]] = []
     handles: dict = {}
+    procs: dict = {}
+
+    def body(oid: int, steps: Sequence[Tuple]):
+        # every step logs what it resumed with; an interrupt is caught
+        # and logged, so the process carries on with its next step
+        obs.append(("proc", oid, -1, None, sim.now))
+        for i, step in enumerate(steps):
+            try:
+                if step[0] == "sleep":
+                    value = yield step[1]
+                elif step[0] == "event":
+                    event = sim.event()
+                    event.succeed(value=oid, delay=step[1])
+                    value = yield event
+                else:
+                    _, cid, child_steps, wait = step
+                    child = procs[cid] = sim.process(body(cid, child_steps))
+                    value = (yield child) if wait else None
+            except Interrupt as intr:
+                value = ("intr", intr.cause)
+            obs.append(("proc", oid, i, value, sim.now))
+        return oid
 
     def make_cb(oid: int, nested: Sequence[Op]) -> Callable[[], None]:
         # one closure per op: cancel-by-identity must never alias
@@ -221,6 +270,14 @@ def replay(
                 exec_ops(nested)
 
             sim.at_instant_end(icb)
+        elif kind == "spawn":
+            _, oid, steps = op
+            procs[oid] = sim.process(body(oid, steps))
+        elif kind == "interrupt":
+            _, oid, target = op
+            proc = procs.get(target)
+            if proc is not None:
+                proc.interrupt(oid)
         else:  # pragma: no cover - generator and interpreter move together
             raise ValueError(f"unknown op kind: {kind!r}")
 
@@ -291,7 +348,7 @@ def shrink(ops: Sequence[Op], horizon: float = HORIZON, mode: str = "run") -> Li
     def strip_nested(op: Op) -> Op:
         if op[0] in ("call_in", "call_at_rel", "event") and op[3]:
             return (*op[:3], [])
-        if op[0] == "instant" and op[2]:
+        if op[0] in ("instant", "spawn") and op[2]:
             return (op[0], op[1], [])
         return op
 

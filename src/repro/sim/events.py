@@ -7,8 +7,8 @@ An :class:`Event` moves through three states:
    (via :meth:`Event.succeed` / :meth:`Event.fail`);
 3. *processed* — the firing happened and all subscribed callbacks ran.
 
-Subscribing to an already-processed event schedules an immediate
-callback, so late subscribers never deadlock.
+Subscribing to an already-processed event hands the callback off to
+the current instant, so late subscribers never deadlock.
 """
 
 from __future__ import annotations
@@ -18,6 +18,21 @@ from typing import Any, Callable, List, Optional, Sequence
 from repro.sim.kernel import SimulationError, Simulator
 
 Callback = Callable[["Event"], None]
+
+
+def _hand_off(sim: Simulator, fn: Callable[[], Any]) -> None:
+    """Run ``fn()`` at the current instant, after what is already queued.
+
+    The bare-callback form of a zero-delay Event that nothing waits
+    on: same FIFO slot, no Event.  The frozen seed kernel used by the
+    parity suite has no ``_push_now``; a zero-delay timer takes the
+    same slot there.
+    """
+    push = getattr(sim, "_push_now", None)
+    if push is not None:
+        push(fn)
+    else:
+        sim._push_timer(0.0, fn)
 
 
 class Event:
@@ -116,15 +131,13 @@ class Event:
     def subscribe(self, callback: Callback) -> None:
         """Run *callback(event)* when the event fires.
 
-        Safe to call on processed events (callback runs via a fresh
-        zero-delay event).
+        Safe to call on processed events (the callback is handed off
+        to the current instant).
         """
         if self._callbacks is not None:
             self._callbacks.append(callback)
             return
-        relay = Event(self.sim)
-        relay.subscribe(lambda _ev: callback(self))
-        relay.succeed()
+        _hand_off(self.sim, lambda: callback(self))
 
     def unsubscribe(self, callback: Callback) -> bool:
         """Remove *callback* if still pending.  Returns True if removed."""

@@ -12,8 +12,17 @@ Two kinds of entry live in the pending set:
   one-tuple ``(event,)``;
 - a bare callback — the *fast path*: no value, no subscriber list and
   no state machine.  ``call_at`` / ``call_in`` schedule one and return
-  a :class:`~repro.sim.timerwheel.Timer` handle for it, and generator
-  processes that ``yield`` a plain number sleep on one.
+  a :class:`~repro.sim.timerwheel.Timer` handle for it, generator
+  processes that ``yield`` a plain number sleep on one, and
+  same-instant hand-offs (process start, interrupt delivery,
+  late-subscriber relays) take their FIFO slot with one through
+  ``_push_now``, which returns no handle.
+
+The hand-off rule: an Event is created only where something needs its
+value, its subscribers or a condition.  A hand-off that only holds a
+same-instant FIFO slot pushes a bare callback at the moment the Event
+it stands for would have been scheduled, so it lands in the same
+bucket position and results stay byte-identical.
 
 Pending entries live on a :class:`~repro.sim.timerwheel.TimerWheel`:
 a dict of slot buckets keyed by the exact float timestamp plus a
@@ -171,6 +180,28 @@ class Simulator:
         else:
             slots[when] = [cur, fn]
         return timer
+
+    def _push_now(
+        self, fn: Callable[[], Any], _heappush: Callable = heappush
+    ) -> None:
+        """Push a bare-callback entry at the current instant; no handle.
+
+        A same-instant hand-off (process start, interrupt delivery,
+        late-subscriber relay) only needs its FIFO slot and is never
+        cancelled, so unlike :meth:`_push_timer` it draws no handle
+        from the arena.  The key is ``now + 0.0`` — the slot a
+        zero-delay :meth:`schedule` takes.
+        """
+        when = self._now
+        slots = self._slots
+        cur = slots.get(when)
+        if cur is None:
+            slots[when] = fn
+            _heappush(self._keys, when)
+        elif cur.__class__ is list:
+            cur.append(fn)
+        else:
+            slots[when] = [cur, fn]
 
     def call_at(
         self,

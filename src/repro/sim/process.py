@@ -15,13 +15,22 @@ one of two things:
 
 A :class:`Process` is itself an event that fires when the generator
 returns, so processes can wait on each other.
+
+**Starting.**  Creating a process pushes one bare callback at the
+current instant (no start Event): when it fires, the generator runs
+to its first ``yield``.  The push takes the FIFO slot a zero-delay
+start Event would take, so processes created at one instant start in
+creation order, after everything already queued there.  The start is
+not cancellable: a process interrupted before its first step still
+runs to its first ``yield``, and the :class:`Interrupt` is thrown in
+there.  Interrupt delivery is the same kind of bare hand-off.
 """
 
 from __future__ import annotations
 
 from typing import Any, Generator, Optional
 
-from repro.sim.events import Event
+from repro.sim.events import Event, _hand_off
 from repro.sim.kernel import SimulationError, Simulator, Timer
 
 
@@ -33,9 +42,9 @@ class Interrupt(Exception):
         self.cause = cause
 
 
-class _SleepWake:
-    """Event-shaped singleton a sleep timer resumes a process with
-    (always ok, value ``None``), so number sleeps reuse the one
+class _Wake:
+    """Event-shaped singleton the start push and sleep timers resume a
+    process with (always ok, value ``None``), so they reuse the one
     resume path instead of duplicating it."""
 
     __slots__ = ()
@@ -43,7 +52,7 @@ class _SleepWake:
     value = None
 
 
-_SLEEP_WAKE = _SleepWake()
+_WAKE = _Wake()
 
 
 class Process(Event):
@@ -60,10 +69,7 @@ class Process(Event):
         self._gen = generator
         self._waiting_on: Optional[Event] = None
         self._sleep_timer: Optional[Timer] = None
-        # Kick off the generator via an immediate event.
-        start = Event(sim)
-        start.subscribe(self._resume)
-        start.succeed()
+        _hand_off(sim, self._start)
 
     @property
     def is_alive(self) -> bool:
@@ -75,10 +81,18 @@ class Process(Event):
 
         No-op if the process already finished.  The event (or sleep
         timer) the process was waiting on is detached, so a later
-        firing of that event is ignored by this process.
+        firing of that event is ignored by this process.  So is the
+        wait the process is in when the interrupt lands, which differs
+        when an earlier interrupt of the same instant landed first.
         """
         if self._triggered:
             return
+        self._detach()
+        _hand_off(self.sim, lambda: self._throw_in(Interrupt(cause)))
+
+    # -- internals ---------------------------------------------------------
+
+    def _detach(self) -> None:
         target = self._waiting_on
         if target is not None:
             target.unsubscribe(self._resume)
@@ -87,15 +101,11 @@ class Process(Event):
         if timer is not None:
             timer.cancel()
             self._sleep_timer = None
-        relay = Event(self.sim)
-        relay.subscribe(lambda _ev: self._throw_in(Interrupt(cause)))
-        relay.succeed()
-
-    # -- internals ---------------------------------------------------------
 
     def _throw_in(self, exc: BaseException) -> None:
         if self._triggered:
             return
+        self._detach()
         try:
             target = self._gen.throw(exc)
         except StopIteration as stop:
@@ -105,6 +115,9 @@ class Process(Event):
             self._finish_failed(err)
             return
         self._wait_on(target)
+
+    def _start(self) -> None:
+        self._resume(_WAKE)
 
     def _resume(self, event: Event) -> None:
         self._waiting_on = None
@@ -136,7 +149,7 @@ class Process(Event):
             if pool is not None:
                 timer.fn = None  # drop the callback ref while parked
                 pool.append(timer)
-        self._resume(_SLEEP_WAKE)
+        self._resume(_WAKE)
 
     def _wait_on(self, target: Any) -> None:
         cls = target.__class__

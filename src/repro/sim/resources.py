@@ -12,9 +12,19 @@ Usage from a process::
     req = resource.request()
     yield req
     try:
-        yield sim.timeout(service_time)
+        yield service_time
     finally:
         resource.release(req)
+
+A caller that never cancels its claim can use
+:meth:`Resource.acquire` instead, which skips the :class:`Request`
+when a unit is free::
+
+    claim = yield from resource.acquire()
+    try:
+        yield service_time
+    finally:
+        resource.release(claim)
 """
 
 from __future__ import annotations
@@ -22,7 +32,7 @@ from __future__ import annotations
 import heapq
 import itertools
 from collections import deque
-from typing import Any, Deque, List, Optional, Tuple
+from typing import Any, Deque, Generator, List, Optional, Tuple
 
 from repro.sim.events import Event
 from repro.sim.kernel import SimulationError, Simulator
@@ -126,9 +136,42 @@ class Resource:
             self.peak_queue_len = max(self.peak_queue_len, len(self._queue))
         return req
 
-    def release(self, req: Request) -> None:
-        """Return a granted unit to the pool."""
-        if not req.triggered or req.cancelled:
+    def acquire(self, meter: Any = None) -> Generator:
+        """Process body: take one unit; returns the claim to release.
+
+        A free unit is claimed on the spot (:meth:`claim`) and the body
+        yields ``0.0``: the same-instant FIFO slot the grant's firing
+        would hold, without a :class:`Request`.  Otherwise it queues a
+        request, waits for the grant and reports the wait to
+        ``meter.waited(seconds)`` when a *meter* is given.  Hand the
+        returned claim (None or the request) to :meth:`release`.
+        """
+        if self.claim():
+            yield 0.0
+            return None
+        req = self.request()
+        queued_at = self.sim.now
+        yield req
+        if meter is not None:
+            meter.waited(self.sim.now - queued_at)
+        return req
+
+    def claim(self) -> bool:
+        """Take one unit at once if :meth:`request` would grant it at
+        once; False (and nothing changes) when the caller must queue.
+        A claimed unit is returned with ``release()``, no request."""
+        if self._in_use < self.capacity and not self._queue:
+            self._take()
+            return True
+        return False
+
+    def release(self, req: Optional[Request] = None) -> None:
+        """Return a granted unit to the pool.
+
+        *req* is the granted :class:`Request`, or None for a unit taken
+        with :meth:`claim`.
+        """
+        if req is not None and (not req.triggered or req.cancelled):
             raise SimulationError("releasing a request that was never granted")
         self._accumulate()
         self._in_use -= 1
@@ -156,10 +199,13 @@ class Resource:
         except ValueError:
             pass
 
-    def _grant(self, req: Request) -> None:
+    def _take(self) -> None:
         self._accumulate()
         self._in_use += 1
         self.total_grants += 1
+
+    def _grant(self, req: Request) -> None:
+        self._take()
         req.succeed(value=req)
 
     def _dispatch(self) -> None:
@@ -187,6 +233,12 @@ class PriorityResource(Resource):
             heapq.heappush(self._pheap, (priority, next(self._tick), req))
             self.peak_queue_len = max(self.peak_queue_len, len(self._pheap))
         return req
+
+    def claim(self) -> bool:
+        if self._in_use < self.capacity and not self._pheap:
+            self._take()
+            return True
+        return False
 
     @property
     def queue_len(self) -> int:  # type: ignore[override]

@@ -70,6 +70,28 @@ def test_free_unallocated_raises():
         res.free_memory(500 * MIB)
 
 
+def test_failed_free_leaves_memory_untouched():
+    # the failed free must not park a withdrawal that a later
+    # allocation would silently drain
+    _, res = make_resources()
+    with pytest.raises(RuntimeError, match="t: freeing unallocated memory"):
+        res.free_memory(500 * MIB)
+    assert res.memory.level == 200 * MIB
+    assert res.allocate_memory(400 * MIB)
+    assert res.memory.level == 600 * MIB
+    res.free_memory(400 * MIB)
+    assert res.memory.level == 200 * MIB
+
+
+def test_free_memory_schedules_nothing():
+    # a release is immediate: it takes no kernel slot
+    sim, res = make_resources()
+    assert res.allocate_memory(100 * MIB)
+    res.free_memory(100 * MIB)
+    assert res.memory.level == 200 * MIB
+    assert sim.peek() is None
+
+
 def test_consume_cpu_scales_with_speed():
     sim, res = make_resources(cpu_speed=2.0)
 

@@ -168,6 +168,30 @@ def test_memory_accounting_per_request():
     assert server.resources.memory.level == pytest.approx(spec.baseline_memory_bytes)
 
 
+@pytest.mark.parametrize("weight", [1, 3])
+def test_memory_level_is_restored_after_requests_complete(weight):
+    # HEAD, static GET (disk, then cache), query and 404 each claim and
+    # release request memory; a cohort request claims its whole weight
+    spec = ServerSpec(per_request_memory_bytes=10 * MIB)
+    sim, topo, server = build_world(spec=spec)
+    paths = [
+        (Method.HEAD, "/index.html"),
+        (Method.GET, "/big.tar.gz"),
+        (Method.GET, "/big.tar.gz"),
+        (Method.GET, "/cgi-bin/q?x=1"),
+        (Method.GET, "/ghost.html"),
+    ]
+    procs = []
+    for client, (method, path) in zip(topo.clients * 2, paths):
+        req = HTTPRequest(method, path, client.client_id)
+        procs.append(server.submit(req, client, 0.05, weight=weight))
+    sim.run()
+    assert all(proc.processed and proc.ok for proc in procs)
+    memory = server.resources.memory
+    assert memory.level == spec.baseline_memory_bytes
+    assert memory.peak_level >= spec.baseline_memory_bytes + weight * 10 * MIB
+
+
 def test_access_log_records_arrivals_and_flags():
     sim, topo, server = build_world()
     c = topo.clients[0]

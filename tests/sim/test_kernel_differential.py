@@ -87,3 +87,39 @@ def test_shrinker_reduces_and_preserves_divergence() -> None:
             pytest.fail("broken cancel was never detected in 50 seeds")
     finally:
         difftest.Simulator = real  # type: ignore[misc]
+
+
+def test_replay_runs_processes() -> None:
+    # spawned processes must start, step and be interrupted on both
+    # kernels, or the spawn op compares nothing
+    from repro.sim.kernel import Simulator
+
+    steps = interrupted = 0
+    for seed in range(40):
+        log = difftest.replay(Simulator, difftest.generate_ops(seed, 40))
+        for entry in log:
+            if entry[0] == "proc":
+                steps += 1
+                interrupted += isinstance(entry[3], tuple)
+    assert steps > 100
+    assert interrupted > 0
+
+
+def test_late_process_start_is_detected() -> None:
+    # mutation canary: a process start that lands after its instant
+    # instead of in its FIFO slot must diverge from the seed kernel
+    from repro.sim.kernel import Simulator
+
+    class LateStartSim(Simulator):
+        def _push_now(self, fn):  # type: ignore[override]
+            self._push_timer(1e-9, fn)
+
+    real = difftest.Simulator
+    difftest.Simulator = LateStartSim  # type: ignore[misc]
+    try:
+        assert any(
+            difftest.mismatch(difftest.generate_ops(seed, 40)) is not None
+            for seed in range(50)
+        )
+    finally:
+        difftest.Simulator = real  # type: ignore[misc]

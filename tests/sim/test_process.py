@@ -141,6 +141,41 @@ def test_interrupt_wakes_number_sleep():
     assert log == [("interrupted", 5.0, "wake"), ("resumed", 6.0)]
 
 
+@pytest.mark.parametrize("second_wait", ["sleep", "event"])
+def test_second_interrupt_of_an_instant_detaches_the_new_wait(second_wait):
+    # two interrupts at one instant: the first lands at the sleep, the
+    # second at the wait entered after it, which must then never resume
+    # the process (it used to, with a stale value)
+    sim = Simulator()
+    log = []
+
+    def body(sim):
+        for _ in range(2):
+            try:
+                if second_wait == "sleep":
+                    yield 0.5
+                else:
+                    yield sim.timeout(0.5, value="stale")
+            except Interrupt as intr:
+                log.append(("interrupted", sim.now, intr.cause))
+        value = yield 2.0
+        log.append(("resumed", sim.now, value))
+
+    proc = sim.process(body(sim))
+
+    def twice():
+        proc.interrupt(1)
+        proc.interrupt(2)
+
+    sim.call_in(0.25, twice)
+    sim.run()
+    assert log == [
+        ("interrupted", 0.25, 1),
+        ("interrupted", 0.25, 2),
+        ("resumed", 2.25, None),
+    ]
+
+
 def test_non_generator_rejected():
     sim = Simulator()
     with pytest.raises(SimulationError):

@@ -120,6 +120,61 @@ def test_release_ungranted_request_raises():
         res.release(queued)
 
 
+def test_claim_takes_a_free_unit_and_schedules_nothing():
+    sim = Simulator()
+    res = Resource(sim, capacity=2)
+    assert res.claim()
+    assert res.claim()
+    assert (res.in_use, res.total_grants) == (2, 2)
+    assert sim.peek() is None
+    assert not res.claim()  # full: the caller must queue
+    assert (res.in_use, res.total_grants) == (2, 2)
+    res.release()
+    res.release()
+    with pytest.raises(SimulationError, match="double release"):
+        res.release()
+
+
+def test_claim_never_jumps_the_queue():
+    for res_cls in (Resource, PriorityResource):
+        sim = Simulator()
+        res = res_cls(sim, capacity=1)
+        first = res.request()
+        queued = res.request()
+        res.release(first)  # grants `queued`, which is still pending
+        assert not res.claim()
+        sim.run()
+        assert queued.processed
+        res.release(queued)
+        assert res.claim()
+
+
+def test_acquire_reports_only_queued_waits():
+    sim = Simulator()
+    res = Resource(sim, capacity=1)
+    waits = []
+
+    class Meter:
+        def waited(self, seconds):
+            waits.append((seconds, sim.now))
+
+    def user(hold_s):
+        claim = yield from res.acquire(Meter())
+        try:
+            yield hold_s
+        finally:
+            res.release(claim)
+        return claim
+
+    a = sim.process(user(1.0))
+    b = sim.process(user(0.5))
+    sim.run()
+    assert a.value is None  # claimed on the spot: no Request
+    assert b.value is not None and b.value.processed
+    assert waits == [(1.0, 1.0)]
+    assert (res.total_grants, res.peak_queue_len, res.busy_integral()) == (2, 1, 1.5)
+
+
 def test_priority_resource_orders_by_priority():
     sim = Simulator()
     res = PriorityResource(sim, capacity=1)
