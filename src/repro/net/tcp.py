@@ -179,16 +179,23 @@ class TcpModel:
                 links, size_bytes * weight, weight=weight
             )
         else:
+            # the seed's two-argument call: the determinism-parity suite
+            # swaps in the frozen net/_seed_reference.Network, which
+            # predates weighted flows and takes no weight
             transfer = network.start_transfer(links, size_bytes)
         # wait for the later of the floor and the transfer.  The
         # closing zero-delay hop is pushed while the later of the two
         # fires, the slot a condition event over both would take, so
         # same-instant resumes keep their order (nothing else
-        # subscribes to transfer.done)
+        # subscribes to transfer.done).  A transfer aborted during the
+        # floor raises its TransferAborted when the floor ends
         try:
             yield floor_s
-            if not transfer.done.processed:
-                yield transfer.done
+            done = transfer.done
+            if not done.processed:
+                yield done
+            elif not done.ok:
+                raise done.exception
             yield 0.0
         finally:
             if transfer.active:

@@ -376,16 +376,12 @@ class SimWebServer:
         last-mile constraint stays per-member while shared links see
         the crowd's full weight.
         """
-        if weight > 1:
-            path = client.download_path(self.access_link)
-            if meter is not None and meter.pipe is not None:
-                path[-1] = meter.pipe
-            yield from self.tcp.download_weighted(
-                self.sim, self.network, path, size_bytes, rtt, weight
-            )
-        else:
-            path = client.download_path(self.access_link)
-            yield from self.tcp.download(self.sim, self.network, path, size_bytes, rtt)
+        path = client.download_path(self.access_link)
+        if weight > 1 and meter is not None and meter.pipe is not None:
+            path[-1] = meter.pipe
+        yield from self.tcp.download_weighted(
+            self.sim, self.network, path, size_bytes, rtt, weight
+        )
         if self.spec.accept_thrash_threshold is not None and self._thrashing:
             # uniform loss-recovery stall while the box thrashes
             yield self.spec.accept_thrash_s

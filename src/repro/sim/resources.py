@@ -71,6 +71,8 @@ class Resource:
         self.name = name
         self._in_use = 0
         self._queue: Deque[Request] = deque()
+        #: units taken with :meth:`claim` and not yet released
+        self._claimed = 0
         # statistics
         self._busy_integral = 0.0
         self._last_change = sim.now
@@ -129,7 +131,7 @@ class Resource:
     def request(self) -> Request:
         """Claim one unit; the returned event fires when granted."""
         req = Request(self)
-        if self._in_use < self.capacity and not self._queue:
+        if self._free_unit():
             self._grant(req)
         else:
             self._enqueue(req)
@@ -160,8 +162,9 @@ class Resource:
         """Take one unit at once if :meth:`request` would grant it at
         once; False (and nothing changes) when the caller must queue.
         A claimed unit is returned with ``release()``, no request."""
-        if self._in_use < self.capacity and not self._queue:
+        if self._free_unit():
             self._take()
+            self._claimed += 1
             return True
         return False
 
@@ -169,9 +172,14 @@ class Resource:
         """Return a granted unit to the pool.
 
         *req* is the granted :class:`Request`, or None for a unit taken
-        with :meth:`claim`.
+        with :meth:`claim`.  A bare ``release()`` with no claimed unit
+        outstanding raises: it cannot free a unit held by a request.
         """
-        if req is not None and (not req.triggered or req.cancelled):
+        if req is None:
+            if not self._claimed:
+                raise SimulationError(f"{self.name}: releasing a claim that was never taken")
+            self._claimed -= 1
+        elif not req.triggered or req.cancelled:
             raise SimulationError("releasing a request that was never granted")
         self._accumulate()
         self._in_use -= 1
@@ -180,6 +188,10 @@ class Resource:
         self._dispatch()
 
     # -- queue mechanics ------------------------------------------------------
+
+    def _free_unit(self) -> bool:
+        # a claim is granted at once: a unit is free and nobody queues
+        return self._in_use < self.capacity and not self._queue
 
     def _enqueue(self, req: Request) -> None:
         self._queue.append(req)
@@ -227,18 +239,15 @@ class PriorityResource(Resource):
     def request(self, priority: float = 0.0) -> Request:  # type: ignore[override]
         req = Request(self)
         req.priority = priority  # type: ignore[attr-defined]
-        if self._in_use < self.capacity and not self._pheap:
+        if self._free_unit():
             self._grant(req)
         else:
             heapq.heappush(self._pheap, (priority, next(self._tick), req))
             self.peak_queue_len = max(self.peak_queue_len, len(self._pheap))
         return req
 
-    def claim(self) -> bool:
-        if self._in_use < self.capacity and not self._pheap:
-            self._take()
-            return True
-        return False
+    def _free_unit(self) -> bool:
+        return self._in_use < self.capacity and not self._pheap
 
     @property
     def queue_len(self) -> int:  # type: ignore[override]

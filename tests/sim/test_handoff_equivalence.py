@@ -19,7 +19,15 @@ A download is never interrupted mid-flight here: no caller does that,
 and the two forms differ there on purpose.  The abort fails
 ``transfer.done`` (defused: the abort is intentional), but the old
 ``AllOf`` turned that into a failure of its own that nobody waited on,
-which stopped the run; the new form has no ``AllOf`` to fail.
+which stopped the run; the new form has no ``AllOf`` to fail.  An
+external ``Network.abort`` still fails the download in both forms;
+during the latency floor the new form raises when the floor ends.
+
+Interrupt delivery is the other intended difference: the old delivery
+did not detach a wait the process entered between ``interrupt()`` and
+the delivery (its first wait, or the wait after an earlier interrupt
+of the same instant), so that wait later resumed it a second time.
+The random scripts avoid those two timings; named cases pin both.
 """
 
 from __future__ import annotations
@@ -30,7 +38,7 @@ from typing import Any, Dict, List, Sequence
 
 import pytest
 
-from repro.net.link import Network
+from repro.net.link import Network, TransferAborted
 from repro.net.tcp import TcpModel
 from repro.server.resources import ServerResources, ServerSpec
 from repro.sim import _seed_kernel
@@ -50,7 +58,8 @@ KERNELS = [
 
 class OldProcess(Process):
     """A process started through a start Event, interrupted through a
-    relay Event, with late subscribers relayed through a fresh Event."""
+    relay Event whose delivery throws without detaching, with late
+    subscribers relayed through a fresh Event."""
 
     __slots__ = ()
 
@@ -82,6 +91,19 @@ class OldProcess(Process):
         relay = Event(self.sim)
         relay.subscribe(lambda _ev: self._throw_in(Interrupt(cause)))
         relay.succeed()
+
+    def _throw_in(self, exc: BaseException) -> None:
+        if self._triggered:
+            return
+        try:
+            target = self._gen.throw(exc)
+        except StopIteration as stop:
+            self.succeed(stop.value)
+            return
+        except BaseException as err:
+            self._finish_failed(err)
+            return
+        self._wait_on(target)
 
     def subscribe(self, callback) -> None:
         if self._callbacks is not None:
@@ -312,39 +334,52 @@ def _gen_steps(rng: random.Random, n_actors: int, depth: int, downloads: bool) -
 
 
 def generate(seed: int, n_actors: int = 8):
-    """Actor scripts and start times; only actors without a download of
-    their own are ever interrupted."""
+    """Actor scripts and start times.
+
+    Interrupts follow the rules under which the old delivery was
+    sound, so both forms must agree: a target is a top-level actor
+    with no download of its own, it is interrupted at most once, and
+    only by an actor that starts strictly later, so it has run to its
+    first yield when the interrupt is issued.  (The old delivery left
+    the wait a process entered in between subscribed; the named cases
+    below show that difference.)
+    """
     rng = random.Random(seed)
+    starts = [rng.choice(DELAYS) for _ in range(n_actors)]
     actors: List[List[tuple]] = []
     for _ in range(n_actors):
         actors.append(_gen_steps(rng, n_actors, 0, rng.random() < 0.6))
-    interruptible = [
+    free = {
         aid for aid, steps in enumerate(actors)
         if not any(step[0] == "download" for step in steps)
-    ]
-    stack = list(actors)
-    while stack:
-        steps = stack.pop()
-        for i, step in enumerate(steps):
-            if step[0] == "interrupt":
-                target = rng.choice(interruptible) if interruptible else -1
-                steps[i] = ("interrupt", target)
-            elif step[0] == "spawn":
-                stack.append(step[1])
-    starts = [rng.choice(DELAYS) for _ in range(n_actors)]
+    }
+    for aid, steps in enumerate(actors):
+        stack = [steps]
+        while stack:
+            steps = stack.pop()
+            for i, step in enumerate(steps):
+                if step[0] == "interrupt":
+                    ready = sorted(t for t in free if starts[t] < starts[aid])
+                    target = rng.choice(ready) if ready else -1
+                    free.discard(target)
+                    steps[i] = ("interrupt", target)
+                elif step[0] == "spawn":
+                    stack.append(step[1])
     return actors, starts
 
 
 @pytest.mark.parametrize("sim_cls", KERNELS)
 @pytest.mark.parametrize("seed0", [0, 100, 200, 300])
 def test_random_interleavings_match_the_old_formulations(sim_cls, seed0):
-    fired = 0
+    fired = landed = 0
     for seed in range(seed0, seed0 + 25):
         actors, starts = generate(seed)
         log = assert_equivalent(sim_cls, actors, starts)
         fired += sum(1 for entry in log if entry[0] == "step")
-    # not vacuous: the scripts really ran
+        landed += sum(1 for entry in log if entry[0] == "intr")
+    # not vacuous: the scripts really ran, and interrupts landed
     assert fired > 200
+    assert landed > 0
 
 
 def test_random_interleavings_cover_every_step_kind():
@@ -441,14 +476,82 @@ def test_release_then_grant_at_one_instant(sim_cls):
 
 
 @pytest.mark.parametrize("sim_cls", KERNELS)
-def test_interrupt_before_first_step(sim_cls):
-    # actor 1 interrupts actor 0 in the instant both are created: the
-    # start hand-off is not cancellable, so actor 0 first runs to its
-    # first yield and the Interrupt lands there
+def test_interrupt_in_the_start_instant(sim_cls):
+    # actor 1 interrupts actor 0 in the instant both start, after
+    # actor 0 reached its first yield: the Interrupt lands there
     actors = [[("sleep", 1.0), ("sleep", 1.0)], [("interrupt", 0)]]
     log = assert_equivalent(sim_cls, actors, [0.0, 0.0])
     assert _steps(log, 0)[:2] == [("intr", 0, 0, 1, 0.0), ("step", 0, 0, 0.0)]
     assert ("end", 1.0) in log
+
+
+@pytest.mark.parametrize("sim_cls", KERNELS)
+def test_interrupt_before_first_step(sim_cls):
+    # actor 0 spawns child 1 and interrupts it before it ran: the start
+    # hand-off is not cancellable, so the child first runs to its first
+    # sleep and the Interrupt lands there, detaching that sleep
+    actors = [[("spawn", [("sleep", 1.0), ("sleep", 1.0)], False), ("interrupt", 1)]]
+    new = replay(NEW, sim_cls, actors, [0.0])
+    assert _steps(new, 1) == [
+        ("intr", 1, 0, 0, 0.0), ("step", 1, 0, 0.0), ("step", 1, 1, 1.0),
+    ]
+    assert ("end", 1.0) in new
+    # the old delivery left the first sleep armed: it woke the child a
+    # second time, which the comparison sees
+    assert replay(OLD, sim_cls, actors, [0.0]) != new
+
+
+class _RecordingNetwork(Network):
+    """Network that keeps every transfer it starts, for external aborts."""
+
+    def __init__(self, sim) -> None:
+        super().__init__(sim)
+        self.started: List[Any] = []
+
+    def start_transfer(self, links, size_bytes, weight=1):
+        transfer = super().start_transfer(links, size_bytes, weight=weight)
+        self.started.append(transfer)
+        return transfer
+
+
+def _aborted_download(forms, sim_cls, link_bps, size, rtt, abort_at):
+    sim = sim_cls()
+    network = _RecordingNetwork(sim)
+    route = [network.add_link("path", link_bps)]
+    tcp = TcpModel()
+    log: List[tuple] = []
+
+    def body():
+        try:
+            got = yield from forms.download(tcp, sim, network, route, size, rtt, 1)
+            log.append(("got", got, sim.now))
+        except TransferAborted:
+            log.append(("aborted", sim.now))
+
+    sim.process(body())
+    sim.call_at(abort_at, lambda: network.abort(network.started[0]))
+    sim.run()
+    return log, tcp.latency_floor_s(size, rtt)
+
+
+@pytest.mark.parametrize("sim_cls", KERNELS)
+def test_abort_during_the_floor_fails_the_download(sim_cls):
+    # 150 kB over 400 kB/s at 100 ms RTT: the floor outlasts the
+    # transfer, and the abort at 0.1 s lands inside both
+    old, floor_s = _aborted_download(OLD, sim_cls, 400_000.0, 150_000.0, 0.1, 0.1)
+    new, _ = _aborted_download(NEW, sim_cls, 400_000.0, 150_000.0, 0.1, 0.1)
+    assert floor_s > 0.375
+    assert old == [("aborted", 0.1)]
+    assert new == [("aborted", floor_s)]
+
+
+@pytest.mark.parametrize("sim_cls", KERNELS)
+def test_abort_after_the_floor_fails_the_download_at_once(sim_cls):
+    # bandwidth-bound: the abort lands while the download waits on done
+    old, floor_s = _aborted_download(OLD, sim_cls, 60_000.0, 150_000.0, 0.02, 1.0)
+    new, _ = _aborted_download(NEW, sim_cls, 60_000.0, 150_000.0, 0.02, 1.0)
+    assert floor_s < 1.0
+    assert new == old == [("aborted", 1.0)]
 
 
 @pytest.mark.parametrize("sim_cls", KERNELS)

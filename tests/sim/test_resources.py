@@ -131,8 +131,23 @@ def test_claim_takes_a_free_unit_and_schedules_nothing():
     assert (res.in_use, res.total_grants) == (2, 2)
     res.release()
     res.release()
-    with pytest.raises(SimulationError, match="double release"):
+    with pytest.raises(SimulationError, match="never taken"):
         res.release()
+    assert res.in_use == 0
+
+
+def test_bare_release_cannot_free_a_unit_held_by_a_request():
+    for res_cls in (Resource, PriorityResource):
+        sim = Simulator()
+        res = res_cls(sim, capacity=2)
+        held = res.request()
+        assert res.claim()
+        res.release()  # the claimed unit
+        with pytest.raises(SimulationError, match="never taken"):
+            res.release()  # would steal `held`'s unit
+        assert (res.in_use, res.total_grants) == (1, 2)
+        res.release(held)
+        assert res.in_use == 0
 
 
 def test_claim_never_jumps_the_queue():
