@@ -26,7 +26,7 @@ from repro.core.records import ClientReport
 from repro.net.control import ControlChannel
 from repro.net.topology import ClientNode
 from repro.server.http import HTTPRequest, Method, Status
-from repro.sim.events import AnyOf
+from repro.sim.events import deadline
 from repro.sim.kernel import Simulator
 
 
@@ -308,9 +308,8 @@ class MFCClient:
             return status, nbytes
 
         proc = self.sim.process(request_flow())
-        killer = self.sim.timeout(self.config.request_timeout_s)
         try:
-            yield AnyOf(self.sim, [proc, killer])
+            yield deadline(self.sim, proc, self.config.request_timeout_s)
         except Exception:
             # treat any transport failure like a timeout/ERR
             return Status.CLIENT_TIMEOUT, 0.0, self.config.request_timeout_s

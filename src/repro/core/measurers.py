@@ -15,7 +15,7 @@ from typing import Generator, List, Optional
 from repro.core.config import MFCConfig
 from repro.net.topology import ClientNode
 from repro.server.http import HTTPRequest, Method, Status
-from repro.sim.events import AnyOf
+from repro.sim.events import deadline
 from repro.sim.kernel import Simulator
 
 
@@ -66,8 +66,7 @@ class Measurer:
             return response
 
         proc = self.sim.process(flow())
-        killer = self.sim.timeout(self.config.request_timeout_s)
-        yield AnyOf(self.sim, [proc, killer])
+        yield deadline(self.sim, proc, self.config.request_timeout_s)
         if proc.processed and proc.ok:
             sample = MeasurerSample(
                 time=started,

@@ -25,13 +25,14 @@ no instant to wait for, so mutations flush eagerly and synchronous
 callers observe rates immediately, exactly as before.
 
 The allocator works on the **active-link set** only and selects each
-round's most-contended link from a lazy min-heap of link shares keyed
-``(share, registration index)``; entries go stale when a freeze
-touches a link's books and are re-pushed fresh (version-stamped), so a
-round costs O(path · log links) instead of a full O(links) rescan.
-Completion scheduling mirrors that shape: a lazy min-heap of absolute
-completion ETAs, invalidated by an allocation-epoch counter, feeds the
-single armed completion timer.
+round's most-contended link from the pristine links in share order
+plus the few links a freeze touched (version-stamped: a touched link's
+pristine entry goes stale), so a round costs O(path · log links)
+instead of a full O(links) rescan.  Completion scheduling rides the
+same pass: every pass re-rates every active flow, so the pass keeps a
+running minimum of the absolute ETAs (``now + remaining / rate``) as
+it freezes each rate, and the flush re-arms the single completion
+timer at that minimum.
 
 Each link's aggregate throughput is maintained incrementally as rates
 are frozen, so :meth:`Link.current_rate` / :meth:`Link.utilization`
@@ -56,9 +57,7 @@ access link, each flow's fair share drops and response time climbs.
 from __future__ import annotations
 
 import math
-from bisect import bisect_right, insort
-from heapq import heapify, heappop, heappush
-from operator import attrgetter
+from bisect import bisect_left, bisect_right
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.sim.events import Event
@@ -66,11 +65,19 @@ from repro.sim.kernel import SimulationError, Simulator, Timer
 
 _EPS = 1e-9
 
-_link_index = attrgetter("index")
-
 
 class TransferAborted(Exception):
     """Failure value of a transfer's completion event after abort()."""
+
+
+def _check_request(links: Sequence["Link"], size_bytes: float, weight: int) -> None:
+    """Reject a transfer request the allocator cannot carry."""
+    if not links:
+        raise SimulationError("transfer needs at least one link")
+    if size_bytes < 0:
+        raise SimulationError("negative transfer size")
+    if weight < 1 or weight != int(weight):
+        raise SimulationError(f"transfer weight must be a positive int, got {weight}")
 
 
 class Link:
@@ -157,8 +164,6 @@ class Transfer:
         "finished_at",
         "aborted",
         "_frozen_gen",
-        "_eta",
-        "_eta_stamp",
     )
 
     def __init__(
@@ -185,11 +190,6 @@ class Transfer:
         self.aborted = False
         # allocation-epoch stamp: frozen this pass when == network gen
         self._frozen_gen = 0
-        # ETA-heap bookkeeping: the absolute completion time of this
-        # transfer's live heap entry (None when it has none) and the
-        # stamp that entry carries; bumping the stamp invalidates it
-        self._eta: Optional[float] = None
-        self._eta_stamp = 0
 
     @property
     def active(self) -> bool:
@@ -215,8 +215,11 @@ class Network:
         #: path compares a link's weight against this)
         self._active_weight = 0
         #: links with >= 1 active transfer, kept sorted by registration
-        #: index (maintained incrementally on transfer join/leave)
+        #: index (maintained incrementally on transfer join/leave), and
+        #: their indices in the same order: the bisect key, a plain int
+        #: list because ``insort(key=)`` needs Python 3.10
         self._active_links: List[Link] = []
+        self._active_indices: List[int] = []
         self._last_advance = sim.now
         #: the single armed completion timer (superseded ones are
         #: cancelled in place, not leaked)
@@ -226,15 +229,10 @@ class Network:
         self._dirty = False
         self._flush_armed = False
         #: allocation-epoch counter: bumped once per allocator pass;
-        #: stamps freeze marks and invalidates stale ETA entries
+        #: stamps freeze marks
         self._alloc_gen = 0
         #: total allocator passes run (the perf suite's recompute count)
         self.allocations = 0
-        # lazy min-heap of (eta, seq, stamp, transfer) completion
-        # candidates; seq is a global push counter so equal ETAs (a
-        # crowd of same-size flows) never compare Transfer objects
-        self._eta_heap: List[Tuple[float, int, int, Transfer]] = []
-        self._eta_seq = 0
 
     # -- links ----------------------------------------------------------------
 
@@ -273,12 +271,7 @@ class Network:
         *weight* per-unit max-min shares (see the module docstring);
         *size_bytes* is then the macro total, weight × member bytes.
         """
-        if not links:
-            raise SimulationError("transfer needs at least one link")
-        if size_bytes < 0:
-            raise SimulationError("negative transfer size")
-        if weight < 1 or weight != int(weight):
-            raise SimulationError(f"transfer weight must be a positive int, got {weight}")
+        _check_request(links, size_bytes, weight)
         transfer = Transfer(self, links, size_bytes, weight=int(weight))
         if size_bytes == 0:
             transfer.finished_at = self.sim.now
@@ -309,18 +302,10 @@ class Network:
         """
         triples = []
         for request in requests:
-            links, size_bytes = request[0], request[1]
+            links, size_bytes = list(request[0]), request[1]
             weight = request[2] if len(request) > 2 else 1
-            triples.append((list(links), float(size_bytes), int(weight)))
-        for links, size_bytes, weight in triples:
-            if not links:
-                raise SimulationError("transfer needs at least one link")
-            if size_bytes < 0:
-                raise SimulationError("negative transfer size")
-            if weight < 1:
-                raise SimulationError(
-                    f"transfer weight must be a positive int, got {weight}"
-                )
+            _check_request(links, size_bytes, weight)
+            triples.append((links, float(size_bytes), int(weight)))
         transfers: List[Transfer] = []
         joined = False
         for links, size_bytes, weight in triples:
@@ -376,7 +361,10 @@ class Network:
         self._active_weight += transfer.weight
         for link in transfer.links:
             if not link.transfers:
-                insort(self._active_links, link, key=_link_index)
+                indices = self._active_indices
+                at = bisect_left(indices, link.index)
+                indices.insert(at, link.index)
+                self._active_links.insert(at, link)
             link.transfers[transfer] = None
             link._weight += transfer.weight
 
@@ -384,8 +372,6 @@ class Network:
         if transfer in self._active:
             del self._active[transfer]
             self._active_weight -= transfer.weight
-        transfer._eta_stamp += 1  # invalidate any pending ETA entry
-        transfer._eta = None
         for link in transfer.links:
             if transfer in link.transfers:
                 del link.transfers[transfer]
@@ -396,7 +382,9 @@ class Network:
                 # for links the next allocation no longer visits
                 link._agg_rate = 0.0
                 link._weight = 0
-                self._active_links.remove(link)
+                at = bisect_left(self._active_indices, link.index)
+                del self._active_indices[at]
+                del self._active_links[at]
 
     def _mark_dirty(self) -> None:
         """Queue this instant's single allocation flush.
@@ -417,14 +405,25 @@ class Network:
             self._flush()
 
     def _flush(self) -> None:
-        """The end-of-instant transaction: advance, allocate, rearm."""
+        """The end-of-instant transaction: advance, allocate, rearm.
+
+        The single completion timer is re-armed at the earliest ETA the
+        allocation pass reports; the superseded one is cancelled in
+        place (its slot fires as a no-op instead of accumulating a live
+        closure per recompute).
+        """
         self._flush_armed = False
         if not self._dirty:
             return
         self._dirty = False
         self._advance()
-        self._assign_max_min_rates()
-        self._schedule_next_completion()
+        timer = self._completion_timer
+        if timer is not None:
+            timer.cancel()
+            self._completion_timer = None
+        eta = self._assign_max_min_rates()
+        if eta < math.inf:
+            self._completion_timer = self.sim.call_at(eta, self._on_completion)
 
     def _advance(self) -> None:
         """Apply progress since the last rate change.
@@ -468,8 +467,14 @@ class Network:
             transfer.finished_at = now
             transfer.done.succeed(value=transfer)
 
-    def _assign_max_min_rates(self) -> None:
+    def _assign_max_min_rates(self) -> float:
         """Progressive filling restricted to the active-link set.
+
+        Returns the earliest absolute completion ETA (``now +
+        remaining / rate`` over the flows with a rate above ε, ``inf``
+        when there is none), a running minimum taken as each flow's
+        rate is frozen: every pass re-rates every active flow, so this
+        is the completion instant to arm.
 
         Round 1 runs the seed's registration-order scan over pristine
         capacities (feeding the freeze-all fast path).  Later rounds
@@ -488,8 +493,10 @@ class Network:
         gen = self._alloc_gen = self._alloc_gen + 1
         active = self._active
         if not active:
-            return
+            return math.inf
         links = self._active_links
+        now = self.sim.now
+        eta = math.inf
 
         # round 1 over pristine capacities needs no cap/count books:
         # the unfrozen weight of every active link is its total weight
@@ -502,7 +509,11 @@ class Network:
                 best_share = share
                 best_link = link
         if best_link is None:
-            return
+            # no finite share: the rates stand as they are
+            return min(
+                (now + t.remaining / t.rate for t in active if t.rate > _EPS),
+                default=math.inf,
+            )
         rate = max(best_share, 0.0)
         if best_link._weight == self._active_weight:
             # the most-contended link carries *every* unit of flow
@@ -510,11 +521,15 @@ class Network:
             # link): one round freezes them all, so skip the
             # progressive-filling books
             for transfer in active:
-                transfer.rate = rate * transfer.weight
+                frozen = transfer.rate = rate * transfer.weight
+                if frozen > _EPS:
+                    done_at = now + transfer.remaining / frozen
+                    if done_at < eta:
+                        eta = done_at
             for link in links:
                 link._agg_rate = rate * link._weight
                 link._agg_gen = gen
-            return
+            return eta
 
         # general case: run full progressive filling (round 1's best
         # link is already known; its books start pristine).
@@ -567,6 +582,10 @@ class Network:
                 weight = transfer.weight
                 frozen = rate * weight
                 transfer.rate = frozen
+                if frozen > _EPS:
+                    done_at = now + transfer.remaining / frozen
+                    if done_at < eta:
+                        eta = done_at
                 unfrozen_left -= 1
                 for link in transfer.links:
                     link._cap_left -= frozen
@@ -579,7 +598,7 @@ class Network:
                     link._version = 1  # pristine entry now stale
                     fresh[link] = None
             if unfrozen_left == 0:
-                return
+                return eta
             # candidate minima: recomputed fresh shares + the pristine
             # cursor; near-tie detection looks for a share inside the
             # (min, min + 2·_EPS] window that differs from the minimum
@@ -613,7 +632,7 @@ class Network:
                     min_index = index
                     min_link = link
             if min_link is None:
-                return
+                return eta
             window = exact_min + _EPS + _EPS
             for share, _index, _link in fresh_shares:
                 if share != exact_min and share <= window:
@@ -646,72 +665,12 @@ class Network:
                         best_share = share
                         best_link = link
                 if best_link is None:
-                    return
+                    return eta
             else:
                 best_link = min_link
                 best_share = exact_min
             fresh.pop(best_link, None)
             rate = max(best_share, 0.0)
-
-    def _schedule_next_completion(self) -> None:
-        """Rearm the single completion timer from the lazy ETA heap.
-
-        Each active flow's absolute ETA (``now + remaining / rate``) is
-        refreshed after an allocation pass; a flow whose ETA is
-        unchanged (its rate survived the pass and no time elapsed)
-        keeps its live heap entry instead of pushing a new one.
-        Entries are invalidated by stamp when a transfer detaches,
-        starves (rate ≤ ε) or re-keys, and skipped lazily at the top.
-        """
-        timer = self._completion_timer
-        if timer is not None:
-            # supersede in place: the stale heap entry fires as a no-op
-            # instead of accumulating a live closure per recompute
-            timer.cancel()
-            self._completion_timer = None
-        heap = self._eta_heap
-        now = self.sim.now
-        seq = self._eta_seq
-        kept = 0
-        pushes: List[Tuple[float, int, int, Transfer]] = []
-        for transfer in self._active:
-            rate = transfer.rate
-            if rate > _EPS:
-                eta = now + transfer.remaining / rate
-                if eta != transfer._eta:
-                    stamp = transfer._eta_stamp + 1
-                    transfer._eta_stamp = stamp
-                    transfer._eta = eta
-                    seq += 1
-                    pushes.append((eta, seq, stamp, transfer))
-                else:
-                    # the allocation left this flow's rate (hence its
-                    # absolute ETA) bit-identical: its live entry stands
-                    kept += 1
-            elif transfer._eta is not None:
-                transfer._eta_stamp += 1
-                transfer._eta = None
-        self._eta_seq = seq
-        if not pushes and not kept:
-            heap.clear()
-            return
-        if kept == 0:
-            # every prior entry is stale (the common dt > 0 flush, where
-            # each advance re-keys all ETAs): rebuild in one heapify
-            # instead of wading through the stale entries lazily
-            heap[:] = pushes
-            heapify(heap)
-        else:
-            for entry in pushes:
-                heappush(heap, entry)
-            while heap:
-                _eta, _seq, stamp, transfer = heap[0]
-                if stamp == transfer._eta_stamp:
-                    break
-                heappop(heap)
-        if not heap:
-            return
-        self._completion_timer = self.sim.call_at(heap[0][0], self._on_completion)
 
     def _on_completion(self) -> None:
         self._completion_timer = None

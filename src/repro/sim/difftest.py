@@ -6,9 +6,11 @@ This module makes that claim testable: it generates random operation
 sequences — schedules, cancellations, reschedules, duplicate
 timestamps, cancel-inside-callback, zero / sub-ulp / negative-clamped
 delays, instant-end transactions, full Events, processes that sleep,
-wait on events and spawn (and wait on) children, interrupts — replays
-each sequence on both kernels, and compares the complete observation
-logs:
+wait on events and spawn (and wait on) children, interrupts,
+same-instant chains (each link pushes the next at ``now``, from a lone
+entry as often as from a dense bucket, and one link cancels either the
+link it just pushed or any op's handle) — replays each sequence on
+both kernels, and compares the complete observation logs:
 
 - every callback / event / instant-end firing ``(kind, op id, now)``
   and every process step ``("proc", op id, step, value, now)`` in
@@ -78,6 +80,9 @@ DELAY_PALETTE: Tuple[float, ...] = (
 NEGATIVE_PALETTE: Tuple[float, ...] = (-0.001, -1.0, -1e-9)
 
 Op = Tuple[Any, ...]
+
+#: drive loops :func:`fuzz` cycles through (see :func:`replay`)
+MODES: Tuple[str, ...] = ("run", "complete", "step")
 
 
 # ---------------------------------------------------------------------------
@@ -153,6 +158,12 @@ def _gen_op(rng: random.Random, next_id: List[int], depth: int, budget: List[int
     if roll < 0.89:
         # like cancel: any op id, a live process or not
         return ("interrupt", oid, rng.randrange(max(1, next_id[0] + rng.randrange(8))))
+    if roll < 0.95:
+        # links, the link that cancels, and what it cancels: the link
+        # it just pushed (target None) or any op's handle
+        links = rng.randint(2, 6)
+        target = None if rng.random() < 0.4 else rng.randrange(max(1, next_id[0] + rng.randrange(8)))
+        return ("chain", oid, _gen_delay(rng, allow_negative=False), links, rng.randrange(links), target)
     return ("instant", oid, _gen_nested(rng, next_id, depth, budget))
 
 
@@ -184,7 +195,13 @@ def replay(
     ``mode`` selects the drive loop: ``"run"`` uses
     ``sim.run(until=horizon)``, ``"step"`` single-steps via
     ``peek()``/``step()`` until the pending set drains (no horizon —
-    ``step`` has none in either kernel).
+    ``step`` has none in either kernel), ``"complete"`` runs
+    ``run_until_complete`` on the first top-level spawn (with
+    *horizon* as its limit), which stops in the middle of whatever
+    same-instant work is queued behind that process's completion, then
+    ``run(until=horizon)`` to drain what the stop parked.  The process
+    has a subscriber (it logs the completion), so its completion is an
+    Event on both kernels.
     """
     sim = sim_cls()
     obs: List[Tuple[Any, ...]] = []
@@ -217,6 +234,19 @@ def replay(
         def cb() -> None:
             obs.append(("fire", oid, sim.now))
             exec_ops(nested)
+
+        return cb
+
+    def chain_link(oid: int, k: int, links: int, cut: int, target: Optional[int]) -> Callable[[], None]:
+        def cb() -> None:
+            obs.append(("chain", oid, k, sim.now))
+            if k + 1 == links:
+                return
+            pushed = sim.call_in(0.0, chain_link(oid, k + 1, links, cut, target))
+            if k == cut:
+                handle = pushed if target is None else handles.get(target)
+                if handle is not None:
+                    handle.cancel()
 
         return cb
 
@@ -278,6 +308,9 @@ def replay(
             proc = procs.get(target)
             if proc is not None:
                 proc.interrupt(oid)
+        elif kind == "chain":
+            _, oid, delay, links, cut, target = op
+            handles[oid] = sim.call_in(delay, chain_link(oid, 0, links, cut, target))
         else:  # pragma: no cover - generator and interpreter move together
             raise ValueError(f"unknown op kind: {kind!r}")
 
@@ -291,6 +324,13 @@ def replay(
             while sim.peek() is not None:
                 sim.step()
         else:
+            if mode == "complete":
+                spawned = [op[1] for op in ops if op[0] == "spawn"]
+                if spawned:
+                    awaited = procs[spawned[0]]
+                    awaited.subscribe(lambda _p: obs.append(("awaited", sim.now)))
+                    value = sim.run_until_complete(awaited, limit=horizon)
+                    obs.append(("complete", value, sim.now))
             sim.run(until=horizon)
     except Exception as err:  # noqa: BLE001 - compared by type name
         obs.append(("run_err", type(err).__name__))
@@ -390,10 +430,9 @@ def check_sequence(seed: int, n_ops: int = 40, mode: str = "run") -> None:
 
 
 def fuzz(n_sequences: int, seed0: int = 0, n_ops: int = 40) -> int:
-    """Run *n_sequences* differential cases (alternating run/step
-    drive modes); return the count checked.  Raises on first
-    divergence."""
+    """Run *n_sequences* differential cases (cycling through the drive
+    modes); return the count checked.  Raises on first divergence."""
     for i in range(n_sequences):
-        mode = "step" if i % 3 == 2 else "run"
+        mode = MODES[i % len(MODES)]
         check_sequence(seed0 + i, n_ops=n_ops, mode=mode)
     return n_sequences

@@ -35,6 +35,34 @@ def _hand_off(sim: Simulator, fn: Callable[[], Any]) -> None:
         sim._push_timer(0.0, fn)
 
 
+def deadline(sim: Simulator, event: "Event", delay: float) -> "Event":
+    """An Event that fires once *event* fires or *delay* seconds pass.
+
+    The form of ``AnyOf([event, Timeout(delay)])`` for a caller that
+    reads *event*, not the condition's value: the deadline is a
+    cancellable ``call_in`` instead of a Timeout Event, cancelled once
+    *event* fires, and the returned Event resolves in the FIFO slot the
+    AnyOf did.  A failure of *event* before the deadline fails it (the
+    failure is defused, as AnyOf's); after the deadline *event* is left
+    alone, as AnyOf left it.
+    """
+    done = Event(sim)
+
+    def on_event(ev: Event) -> None:
+        if done._triggered:
+            return
+        timer.cancel()
+        if ev._ok:
+            done.succeed()
+        else:
+            ev._defused = True
+            done.fail(ev._exc)  # type: ignore[arg-type]
+
+    timer = sim.call_in(delay, done.succeed)
+    event.subscribe(on_event)
+    return done
+
+
 class Event:
     """A one-shot occurrence in simulated time."""
 

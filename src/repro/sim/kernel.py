@@ -22,7 +22,19 @@ The hand-off rule: an Event is created only where something needs its
 value, its subscribers or a condition.  A hand-off that only holds a
 same-instant FIFO slot pushes a bare callback at the moment the Event
 it stands for would have been scheduled, so it lands in the same
-bucket position and results stay byte-identical.
+bucket position and results stay byte-identical.  A process nobody
+waits on completes without an Event (see ``process.py``);
+:meth:`Simulator.run_until_complete` subscribes to the one it awaits.
+
+**The ready list.**  A lone entry leaves its slot before it runs, and
+while it runs the slot holds the kernel's ready list: a push at
+``now`` finds a list there and appends, with no new key on the
+instant heap, and the run loop drains the list after the entry.  The
+one list is reused for every instant, so the lone-entry path
+allocates nothing.  During that drain the instant's slot is occupied
+while its key is off the heap; a stop mid-chain (``run_until_complete``)
+or a raising callback hands the unfired rest back as an ordinary
+bucket with its key on the heap.
 
 Pending entries live on a :class:`~repro.sim.timerwheel.TimerWheel`:
 a dict of slot buckets keyed by the exact float timestamp plus a
@@ -63,12 +75,12 @@ quiescent, then moves on.
 
 from __future__ import annotations
 
+import math
 from heapq import heappop, heappush
 from typing import Any, Callable, Generator, Optional
 
 from repro.sim.timerwheel import (
     COMPACT_EPOCH_DELTA,
-    FIRED,
     Timer,
     TimerWheel,
 )
@@ -76,6 +88,9 @@ from repro.sim.timerwheel import (
 __all__ = ["SimulationError", "Simulator", "Timer"]
 
 _new_timer = Timer.__new__
+
+#: the Process class, bound by the first Simulator.process call
+_Process: Any = None
 
 
 class SimulationError(RuntimeError):
@@ -99,6 +114,7 @@ class Simulator:
         "_running",
         "_instant_cbs",
         "_cancel_seen",
+        "_ready",
     )
 
     def __init__(self) -> None:
@@ -117,6 +133,9 @@ class Simulator:
         self._instant_cbs: list = []
         #: Timer._cancel_epoch as of the last compaction scan
         self._cancel_seen = Timer._cancel_epoch
+        #: the draining instant's slot while its lone entry runs (see
+        #: run): same-instant pushes append here without a key push
+        self._ready: list = []
 
     @property
     def now(self) -> float:
@@ -254,7 +273,7 @@ class Simulator:
         when = now + delay
         if when < now:
             raise SimulationError(
-                f"call_at({when}) is in the past (now={now})"
+                f"call_in({delay}): negative delay (now={now})"
             )
         # The seed computed now + ((now + delay) - now).  For
         # non-negative now and delay that roundtrip is an identity
@@ -335,9 +354,11 @@ class Simulator:
 
     def process(self, generator: Generator) -> "Process":
         """Start a simulation process from a generator."""
-        from repro.sim.process import Process
-
-        return Process(self, generator)
+        global _Process
+        if _Process is None:
+            # bound once: process.py imports this module
+            from repro.sim.process import Process as _Process
+        return _Process(self, generator)
 
     # -- execution ------------------------------------------------------
 
@@ -393,9 +414,11 @@ class Simulator:
             slots = self._slots
             keys = self._keys
             icbs = self._instant_cbs
+            ready = self._ready
             pop = heappop
             timer_cls = Timer
-            cancel_seen = self._cancel_seen
+            compact_at = self._cancel_seen + COMPACT_EPOCH_DELTA
+            stop = math.inf if until is None else until
             while True:
                 if icbs and (not keys or keys[0] != self._now):
                     # the current instant has fully drained: run its
@@ -403,15 +426,15 @@ class Simulator:
                     # events at this very instant) before moving on
                     self._run_instant_end()
                     continue
-                if timer_cls._cancel_epoch - cancel_seen > COMPACT_EPOCH_DELTA:
+                if timer_cls._cancel_epoch > compact_at:
                     # instant boundary: safe point to reap tombstones
                     self.compact()
-                    cancel_seen = self._cancel_seen
+                    compact_at = self._cancel_seen + COMPACT_EPOCH_DELTA
                     continue
                 if not keys:
                     break
                 when = keys[0]
-                if until is not None and when > until:
+                if when > stop:
                     break
                 self._now = when
                 bucket = slots[when]
@@ -430,18 +453,29 @@ class Simulator:
                     del slots[when]
                     pop(keys)
                 else:
-                    # lone entry: release the slot first so a cancel
-                    # from inside the callback is the seed's no-op
-                    del slots[when]
+                    # lone entry: it leaves the slot before it runs (so
+                    # a cancel from inside the callback is the seed's
+                    # no-op) and the ready list takes the slot, so
+                    # same-instant pushes append there with no key push
                     pop(keys)
+                    slots[when] = ready
                     if bucket.__class__ is tuple:
                         bucket[0]._fire()
                     else:
                         bucket()
+                    if ready:
+                        for obj in ready:
+                            if obj.__class__ is tuple:
+                                obj[0]._fire()
+                            else:
+                                obj()
+                        ready.clear()
+                    del slots[when]
             if until is not None and self._now < until:
                 self._now = until
         finally:
             self._running = False
+            self._release_ready()
 
     def run_until_complete(self, process: "Process", limit: float = 1e9) -> Any:
         """Run until *process* finishes; return its value (raise its error).
@@ -449,17 +483,25 @@ class Simulator:
         *limit* bounds runaway simulations; exceeding it raises
         :class:`SimulationError`.  Shares the reentrancy guard with
         :meth:`run` — the kernel has exactly one stepper.
+
+        The awaited process keeps its completion Event (a process
+        nobody waits on completes on the spot): the run stops in the
+        completion's FIFO slot, after the same-instant work queued
+        ahead of it, exactly where it always stopped.
         """
         if self._running:
             raise SimulationError("run() is not reentrant")
+        if not process._triggered:
+            process.subscribe(_await)
         self._running = True
         try:
             slots = self._slots
             keys = self._keys
             icbs = self._instant_cbs
+            ready = self._ready
             pop = heappop
-            fired = FIRED
             timer_cls = Timer
+            compact_at = self._cancel_seen + COMPACT_EPOCH_DELTA
             while not process._processed:
                 if icbs and (not keys or keys[0] != self._now):
                     # end of the current instant: run its transactions
@@ -467,8 +509,9 @@ class Simulator:
                     # advancing time or declaring a deadlock
                     self._run_instant_end()
                     continue
-                if timer_cls._cancel_epoch - self._cancel_seen > COMPACT_EPOCH_DELTA:
+                if timer_cls._cancel_epoch > compact_at:
                     self.compact()
+                    compact_at = self._cancel_seen + COMPACT_EPOCH_DELTA
                     continue
                 if not keys:
                     raise SimulationError("deadlock: process pending but no events")
@@ -477,30 +520,53 @@ class Simulator:
                     raise SimulationError(f"simulation exceeded time limit {limit}")
                 self._now = when
                 bucket = slots[when]
-                if bucket.__class__ is list:
-                    for i, obj in enumerate(bucket):
-                        bucket[i] = fired
-                        if obj.__class__ is tuple:
-                            obj[0]._fire()
-                        else:
-                            obj()
-                        if process._processed:
-                            # the awaited process finished mid-batch:
-                            # the unfired suffix stays parked in its
-                            # slot (behind FIRED markers a later run
-                            # drains as no-ops), exactly the entries
-                            # the seed would leave on its heap
-                            break
-                    else:
-                        del slots[when]
-                        pop(keys)
-                else:
-                    del slots[when]
+                if bucket.__class__ is not list:
+                    # lone entry: as in run, the ready list takes the
+                    # slot; a stop mid-chain parks the unfired rest
                     pop(keys)
+                    slots[when] = ready
                     if bucket.__class__ is tuple:
                         bucket[0]._fire()
                     else:
                         bucket()
+                    if ready:
+                        n = 0
+                        if not process._processed:
+                            for obj in ready:
+                                n += 1
+                                if obj.__class__ is tuple:
+                                    obj[0]._fire()
+                                else:
+                                    obj()
+                                if process._processed:
+                                    break
+                        if n < len(ready):
+                            rest = ready[n:]
+                            slots[when] = rest if len(rest) > 1 else rest[0]
+                            heappush(keys, when)
+                            ready.clear()
+                            continue
+                        ready.clear()
+                    del slots[when]
+                    continue
+                n = 0
+                for obj in bucket:
+                    n += 1
+                    if obj.__class__ is tuple:
+                        obj[0]._fire()
+                    else:
+                        obj()
+                    if process._processed:
+                        break
+                if n < len(bucket):
+                    # the awaited process finished mid-batch: the
+                    # unfired rest stays parked in its slot, exactly
+                    # the entries the seed would leave on its heap
+                    rest = bucket[n:]
+                    slots[when] = rest if len(rest) > 1 else rest[0]
+                else:
+                    del slots[when]
+                    pop(keys)
             # the awaited process can finish mid-instant with
             # end-of-instant transactions still queued (e.g. a network
             # flush armed by its final mutation); run them before
@@ -509,6 +575,30 @@ class Simulator:
                 self._run_instant_end()
         finally:
             self._running = False
+            self._release_ready()
         if not process.ok:
             raise process.exception  # type: ignore[misc]
         return process.value
+
+    def _release_ready(self) -> None:
+        """Hand the ready list's slot back if a callback raised mid-drain.
+
+        The ready list's entries become an ordinary bucket with its key
+        on the heap, so the wheel's invariants hold for a later run.
+        When the lone entry raised, they are exactly the pending pushes;
+        when a pushed entry raised, the ones the drain already ran stay
+        in the bucket too, as a raising list bucket keeps them.
+        """
+        ready = self._ready
+        when = self._now
+        if self._slots.get(when) is not ready:
+            return
+        if ready:
+            heappush(self._keys, when)
+            self._ready = []
+        else:
+            del self._slots[when]
+
+
+def _await(_process: Any) -> None:
+    """Subscriber that keeps an awaited process's completion Event."""

@@ -14,7 +14,13 @@ one of two things:
   ``yield sim.timeout(0.25)``, resuming with ``None``.
 
 A :class:`Process` is itself an event that fires when the generator
-returns, so processes can wait on each other.
+returns, so processes can wait on each other.  Only a process someone
+waits on schedules that completion: one that returns with no
+subscriber is marked processed on the spot (a later subscriber gets
+the usual late-subscriber hand-off), and
+:meth:`~repro.sim.kernel.Simulator.run_until_complete` subscribes to
+the process it awaits, so it stops in the completion's FIFO slot.  A
+failure always fires, so an unwatched one still surfaces from the run.
 
 **Starting.**  Creating a process pushes one bare callback at the
 current instant (no start Event): when it fires, the generator runs
@@ -109,7 +115,7 @@ class Process(Event):
         try:
             target = self._gen.throw(exc)
         except StopIteration as stop:
-            self.succeed(stop.value)
+            self._finish(stop.value)
             return
         except BaseException as err:
             self._finish_failed(err)
@@ -128,7 +134,7 @@ class Process(Event):
                 event._defused = True
                 target = self._gen.throw(event.exception)
         except StopIteration as stop:
-            self.succeed(stop.value)
+            self._finish(stop.value)
             return
         except BaseException as err:
             self._finish_failed(err)
@@ -179,5 +185,17 @@ class Process(Event):
         self._waiting_on = target
         target.subscribe(self._resume)
 
+    def _finish(self, value: Any) -> None:
+        if self._callbacks:
+            self.succeed(value)
+            return
+        # nobody waits: processed on the spot, no completion Event (a
+        # later subscriber is handed off to its own instant)
+        self._triggered = self._processed = True
+        self._ok = True
+        self._value = value
+        self._callbacks = None
+
     def _finish_failed(self, err: BaseException) -> None:
+        # a failure always fires: unwatched, it surfaces from the run
         self.fail(err)

@@ -44,10 +44,9 @@ cancellation arriving mid-instant (from another callback at the same
 timestamp) still finds the bucket; the cancel scan runs *backwards*
 because a pending duplicate of an already-fired callback always sits
 later in FIFO order.  ``run_until_complete`` — which may stop
-mid-bucket when the awaited process finishes — additionally marks each
-entry :data:`FIRED` before dispatch, so the parked remainder of an
-interrupted bucket never refires.  Every
-effective cancellation bumps a class-level epoch counter; once more
+mid-bucket when the awaited process finishes — parks only the unfired
+rest of the bucket in its slot, so nothing it dispatched refires.
+Every effective cancellation bumps a class-level epoch counter; once more
 than :data:`COMPACT_EPOCH_DELTA` cancellations accumulate, the kernel
 calls :meth:`TimerWheel.compact` at a safe point (top of the run loop,
 never mid-drain), which drops tombstones and rebuilds ``keys`` *in
@@ -75,10 +74,6 @@ COMPACT_EPOCH_DELTA = 1024
 
 def TOMBSTONE() -> None:
     """Slot entry left by ``Timer.cancel()`` — fires as a no-op."""
-
-
-def FIRED() -> None:
-    """In-place marker for an entry the run loop has dispatched."""
 
 
 class Timer:
@@ -155,16 +150,19 @@ class TimerWheel:
 
     Invariants:
 
-    - ``keys`` holds each occupied slot timestamp exactly once;
+    - ``keys`` holds each occupied slot timestamp exactly once, except
+      the instant whose lone entry the kernel is running: its slot
+      holds the kernel's ready list and its key is off the heap until
+      the drain ends (see ``kernel.py``);
     - ``slots[when]`` is a bare entry or a list of two or more entries
-      in FIFO order, where an entry is a callable (a timer callback,
-      :data:`TOMBSTONE`, or :data:`FIRED`) or a one-tuple ``(event,)``;
+      in FIFO order, where an entry is a callable (a timer callback or
+      :data:`TOMBSTONE`) or a one-tuple ``(event,)``;
     - buckets are drained in place and removed from ``slots`` only at
       the end of the instant, so a same-instant ``cancel()`` still
       reaches every not-yet-fired entry (via its backward scan), and
       compaction — which only runs between instants — never races a
-      drain.  ``run_until_complete`` marks dispatched entries
-      :data:`FIRED` so a bucket it abandons mid-drain never refires.
+      drain.  ``run_until_complete`` parks only the unfired rest of a
+      bucket it abandons mid-drain, so nothing refires.
     """
 
     __slots__ = ("slots", "keys", "pool")
@@ -205,11 +203,11 @@ class TimerWheel:
             if bucket.__class__ is list:
                 for entry in bucket:
                     entries += 1
-                    if entry is TOMBSTONE or entry is FIRED:
+                    if entry is TOMBSTONE:
                         dead += 1
             else:
                 entries += 1
-                if bucket is TOMBSTONE or bucket is FIRED:
+                if bucket is TOMBSTONE:
                     dead += 1
         return {
             "slots": len(self.slots),
@@ -220,7 +218,7 @@ class TimerWheel:
         }
 
     def compact(self) -> int:
-        """Drop cancelled/fired entries from every slot; return the count.
+        """Drop cancelled entries from every slot; return the count.
 
         Rebuilds ``keys`` in place when slots empty out.  Only safe at
         instant boundaries (the kernel calls it at the top of its run
@@ -232,9 +230,7 @@ class TimerWheel:
         for when in list(slots):
             bucket = slots[when]
             if bucket.__class__ is list:
-                live = [
-                    e for e in bucket if e is not TOMBSTONE and e is not FIRED
-                ]
+                live = [e for e in bucket if e is not TOMBSTONE]
                 dead = len(bucket) - len(live)
                 if dead:
                     removed += dead
@@ -245,7 +241,7 @@ class TimerWheel:
                         slots[when] = live[0]
                     else:
                         slots[when] = live
-            elif bucket is TOMBSTONE or bucket is FIRED:
+            elif bucket is TOMBSTONE:
                 del slots[when]
                 keys_dirty = True
                 removed += 1

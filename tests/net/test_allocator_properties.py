@@ -191,6 +191,30 @@ def test_active_link_set_shrinks_back_to_empty():
     assert b.current_rate() == 0.0
 
 
+def test_active_links_stay_in_registration_order_under_scrambled_joins():
+    """Links join and leave the active set in an order unrelated to
+    their registration; the set stays sorted by registration index."""
+    sim = Simulator()
+    net = Network(sim)
+    links = [net.add_link(f"l{i}", 100.0) for i in range(12)]
+    rng = random.Random(5)
+    live = []
+    for _ in range(200):
+        if live and rng.random() < 0.45:
+            net.abort(live.pop(rng.randrange(len(live))))
+        else:
+            path = rng.sample(links, rng.randint(1, 3))
+            live.append(net.start_transfer(path, 1e9))
+        expected = sorted(
+            {link.index for t in live for link in t.links}
+        )
+        assert [link.index for link in net._active_links] == expected
+        assert net._active_indices == expected
+    for transfer in live:
+        net.abort(transfer)
+    assert net._active_links == [] and net._active_indices == []
+
+
 def test_abort_at_exact_completion_instant_is_a_noop():
     """An abort landing at the transfer's completion timestamp (the
     10 s kill timer racing the completion sweep) completes the

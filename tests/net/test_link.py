@@ -224,6 +224,21 @@ def test_start_transfers_validates_before_starting_any():
     sim.run()
 
 
+def test_start_transfers_rejects_a_fractional_weight_like_start_transfer():
+    # a weight of 2.7 must not be truncated to 2 before validation
+    sim, net = make_net()
+    link = net.add_link("l", 1000.0)
+    message = "transfer weight must be a positive int, got 2.7"
+    with pytest.raises(SimulationError, match=message):
+        net.start_transfer([link], 10.0, weight=2.7)
+    with pytest.raises(SimulationError, match=message):
+        net.start_transfers([([link], 10.0), ([link], 10.0, 2.7)])
+    assert not net._active
+    # an integral float weight is still accepted, as an int
+    (transfer,) = net.start_transfers([([link], 10.0, 3.0)])
+    assert transfer.weight == 3 and type(transfer.weight) is int
+
+
 def test_same_instant_starts_inside_run_allocate_once():
     """N joins at one simulated instant cost one allocator pass."""
     sim, net = make_net()

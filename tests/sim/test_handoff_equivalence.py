@@ -7,6 +7,10 @@ delivery and late-subscriber relays, the download's floor ``Timeout``
 plus ``AllOf``, resource grants that succeed at once, and the memory
 release.  Each replacement pushes its entry at the moment the Event it
 replaces was scheduled, so every firing must land where it used to.
+The client's kill timer, a ``Timeout`` raced against the request
+process in an ``AnyOf``, is now :func:`~repro.sim.events.deadline`: a
+cancellable ``call_in`` plus a subscription on the process, resolving
+one Event in the slot the ``AnyOf`` fired in.
 
 The old formulations are kept verbatim below.  Seeded random
 interleavings (plain ``random``, like :mod:`repro.sim.difftest`) run
@@ -28,6 +32,13 @@ did not detach a wait the process entered between ``interrupt()`` and
 the delivery (its first wait, or the wait after an earlier interrupt
 of the same instant), so that wait later resumed it a second time.
 The random scripts avoid those two timings; named cases pin both.
+
+The third is the completion of a process nobody waits on: it is marked
+processed when the generator returns instead of through a completion
+Event queued at that instant.  A subscriber that arrives later in the
+same instant is handed off from where it subscribes, so work queued in
+between now runs first (the old Event held the earlier slot).  A named
+case pins that difference; the random scripts' seeds never reach it.
 """
 
 from __future__ import annotations
@@ -42,7 +53,7 @@ from repro.net.link import Network, TransferAborted
 from repro.net.tcp import TcpModel
 from repro.server.resources import ServerResources, ServerSpec
 from repro.sim import _seed_kernel
-from repro.sim.events import AllOf, Event
+from repro.sim.events import AllOf, AnyOf, Event, deadline
 from repro.sim.kernel import SimulationError, Simulator
 from repro.sim.process import Interrupt, Process
 
@@ -59,7 +70,8 @@ KERNELS = [
 class OldProcess(Process):
     """A process started through a start Event, interrupted through a
     relay Event whose delivery throws without detaching, with late
-    subscribers relayed through a fresh Event."""
+    subscribers relayed through a fresh Event, and a completion Event
+    scheduled whether or not anything waits on it."""
 
     __slots__ = ()
 
@@ -113,6 +125,9 @@ class OldProcess(Process):
         relay.subscribe(lambda _ev: callback(self))
         relay.succeed()
 
+    def _finish(self, value) -> None:
+        self.succeed(value)
+
 
 def old_download(tcp, sim, network, links, size_bytes, rtt, weight):
     if size_bytes <= 0:
@@ -145,6 +160,11 @@ def old_hold(sim, resource, seconds, meter):
         resource.release(grant)
 
 
+def old_race(sim, proc, seconds):
+    killer = sim.timeout(seconds)
+    return AnyOf(sim, [proc, killer])
+
+
 def old_free_memory(resources, amount):
     taken = resources.memory.get(amount)
     if not taken.triggered:
@@ -169,6 +189,7 @@ OLD = SimpleNamespace(
     download=old_download,
     hold=old_hold,
     free=old_free_memory,
+    race=old_race,
 )
 NEW = SimpleNamespace(
     spawn=lambda sim, gen: sim.process(gen),
@@ -177,6 +198,7 @@ NEW = SimpleNamespace(
     ),
     hold=new_hold,
     free=lambda resources, amount: resources.free_memory(amount),
+    race=deadline,
 )
 
 # ---------------------------------------------------------------------------
@@ -250,6 +272,23 @@ def replay(
                     if wait:
                         value = yield child
                         log.append(("joined", aid, value, sim.now))
+                elif kind == "request":
+                    # the client's kill timer: race a request process
+                    # against a deadline, then read the process itself
+                    _, child_steps, seconds = step
+                    cid = counter[0]
+                    counter[0] += 1
+                    child = forms.spawn(sim, body(cid, child_steps))
+                    procs[cid] = child
+                    try:
+                        yield forms.race(sim, child, seconds)
+                    except RuntimeError as err:
+                        log.append(("req_err", aid, str(err), sim.now))
+                    else:
+                        ok = child.processed and child.ok
+                        log.append(("req", aid, child.value if ok else "killed", sim.now))
+                elif kind == "raise":
+                    raise RuntimeError(f"request {aid} failed")
                 elif kind == "wait":
                     target = procs.get(step[1])
                     if target is not None and target is not procs.get(aid):
@@ -303,6 +342,8 @@ def assert_equivalent(sim_cls, actors, starts) -> List[tuple]:
 DELAYS = (0.0, 0.0, 0.001, 0.01, 0.05, 0.05, 0.1, 0.1, 0.25, 1.0 / 3.0)
 RTTS = (0.0, 0.02, 0.05, 0.05, 0.1)
 SIZES = (1_000.0, 3_000.0, 20_000.0, 150_000.0)
+#: request deadlines: on the delay grid, so kills tie with other work
+DEADLINES = (0.0, 0.05, 0.1, 0.25, 1.0 / 3.0)
 
 
 def _gen_steps(rng: random.Random, n_actors: int, depth: int, downloads: bool) -> List[tuple]:
@@ -322,10 +363,16 @@ def _gen_steps(rng: random.Random, n_actors: int, depth: int, downloads: bool) -
             )
         elif roll < 0.73:
             steps.append(("mem", rng.choice((1e6, 5e6)), rng.choice(DELAYS)))
-        elif roll < 0.85 and depth < 2:
+        elif roll < 0.79 and depth < 2:
             # a spawned child may download: it is never an interrupt target
             child = _gen_steps(rng, n_actors, depth + 1, True)
             steps.append(("spawn", child, rng.random() < 0.5))
+        elif roll < 0.87 and depth < 2:
+            # a request child may fail, before or after its deadline
+            child = _gen_steps(rng, n_actors, depth + 1, True)
+            if rng.random() < 0.1:
+                child.append(("raise",))
+            steps.append(("request", child, rng.choice(DEADLINES)))
         elif roll < 0.93:
             steps.append(("wait", rng.randrange(n_actors)))
         else:
@@ -363,7 +410,7 @@ def generate(seed: int, n_actors: int = 8):
                     target = rng.choice(ready) if ready else -1
                     free.discard(target)
                     steps[i] = ("interrupt", target)
-                elif step[0] == "spawn":
+                elif step[0] in ("spawn", "request"):
                     stack.append(step[1])
     return actors, starts
 
@@ -372,14 +419,18 @@ def generate(seed: int, n_actors: int = 8):
 @pytest.mark.parametrize("seed0", [0, 100, 200, 300])
 def test_random_interleavings_match_the_old_formulations(sim_cls, seed0):
     fired = landed = 0
+    outcomes = set()
     for seed in range(seed0, seed0 + 25):
         actors, starts = generate(seed)
         log = assert_equivalent(sim_cls, actors, starts)
         fired += sum(1 for entry in log if entry[0] == "step")
         landed += sum(1 for entry in log if entry[0] == "intr")
-    # not vacuous: the scripts really ran, and interrupts landed
+        outcomes.update(entry[2] == "killed" for entry in log if entry[0] == "req")
+    # not vacuous: the scripts really ran, interrupts landed, and
+    # requests both beat their deadline and were killed by it
     assert fired > 200
     assert landed > 0
+    assert outcomes == {True, False}
 
 
 def test_random_interleavings_cover_every_step_kind():
@@ -390,9 +441,11 @@ def test_random_interleavings_cover_every_step_kind():
         while stack:
             for step in stack.pop():
                 kinds.add(step[0])
-                if step[0] == "spawn":
+                if step[0] in ("spawn", "request"):
                     stack.append(step[1])
-    assert kinds == {"sleep", "download", "hold", "mem", "spawn", "wait", "interrupt"}
+    assert kinds == {
+        "sleep", "download", "hold", "mem", "spawn", "request", "raise", "wait", "interrupt",
+    }
 
 
 def test_old_and_new_logs_differ_when_a_slot_is_skipped():
@@ -560,3 +613,87 @@ def test_late_subscriber_relay(sim_cls):
     actors = [[("sleep", 0.0)], [("sleep", 0.01), ("wait", 0), ("sleep", 0.0)]]
     log = assert_equivalent(sim_cls, actors, [0.0, 0.0])
     assert ("joined", 1, 0, 0.01) in log
+
+
+# ---------------------------------------------------------------------------
+# the kill timer: a request process raced against its deadline
+# ---------------------------------------------------------------------------
+
+
+def _requests(log):
+    return [entry for entry in log if entry[0] in ("req", "req_err", "run_err")]
+
+
+@pytest.mark.parametrize("sim_cls", KERNELS)
+def test_request_beats_its_deadline(sim_cls):
+    log = assert_equivalent(sim_cls, [[("request", [("sleep", 0.05)], 0.25)]], [0.0])
+    assert _requests(log) == [("req", 0, 1, 0.05)]
+    # the cancelled kill timer still holds its instant, like the Timeout
+    assert ("end", 0.25) in log
+
+
+@pytest.mark.parametrize("sim_cls", KERNELS)
+def test_deadline_beats_the_request(sim_cls):
+    log = assert_equivalent(sim_cls, [[("request", [("sleep", 0.5)], 0.25)]], [0.0])
+    assert _requests(log) == [("req", 0, "killed", 0.25)]
+    assert ("step", 1, 0, 0.5) in log  # the killed request still runs out
+
+
+@pytest.mark.parametrize("sim_cls", KERNELS)
+def test_request_and_deadline_in_one_instant(sim_cls):
+    # zero deadline: the kill timer is queued behind the child's start.
+    # An empty child returns there, so its completion is already queued
+    # when the kill fires, and the waiter (queued after both) reads it
+    # as done; a child that first sleeps 0 returns after the kill and
+    # is read as killed
+    actors = [
+        [("request", [], 0.0)],
+        [("request", [("sleep", 0.0)], 0.0)],
+        # kill timer and the child's sleep share 0.25, kill first
+        [("request", [("sleep", 0.25)], 0.25)],
+    ]
+    log = assert_equivalent(sim_cls, actors, [0.0, 0.0, 0.0])
+    assert _requests(log) == [
+        ("req", 0, 3, 0.0), ("req", 1, "killed", 0.0), ("req", 2, "killed", 0.25),
+    ]
+
+
+@pytest.mark.parametrize("sim_cls", KERNELS)
+def test_failing_request(sim_cls):
+    # before its deadline the failure is the waiter's; after it, nobody
+    # waits and the failure stops the run, as the old AnyOf left it
+    before = assert_equivalent(
+        sim_cls, [[("request", [("sleep", 0.05), ("raise",)], 0.25)]], [0.0]
+    )
+    assert _requests(before) == [("req_err", 0, "request 1 failed", 0.05)]
+    after = assert_equivalent(
+        sim_cls, [[("request", [("sleep", 0.5), ("raise",)], 0.25)]], [0.0]
+    )
+    assert _requests(after) == [("req", 0, "killed", 0.25), ("run_err", "RuntimeError")]
+    assert ("end", 0.5) in after
+
+
+@pytest.mark.parametrize("sim_cls", KERNELS)
+def test_late_same_instant_subscriber_to_an_unwatched_process(sim_cls):
+    # at 0.1 the sleeps end in the order actor 0, 2, 1: actor 0
+    # returns with nobody waiting, actor 2 queues a zero sleep, then
+    # actor 1 waits on actor 0.  The old completion Event was queued
+    # when actor 0 returned, ahead of actor 2's sleep; the new
+    # late-subscriber hand-off is queued when actor 1 subscribes
+    actors = [
+        [("sleep", 0.1)],
+        [("sleep", 0.1), ("wait", 0)],
+        [("sleep", 0.1), ("sleep", 0.0)],
+    ]
+    starts = [0.0, 0.0, 0.0]
+
+    def order(log):
+        return [entry[:3] for entry in log if entry[0] in ("joined", "step")]
+
+    head = [("step", 0, 0), ("step", 2, 0), ("step", 1, 0)]
+    assert order(replay(OLD, sim_cls, actors, starts)) == head + [
+        ("joined", 1, 0), ("step", 1, 1), ("step", 2, 1),
+    ]
+    assert order(replay(NEW, sim_cls, actors, starts)) == head + [
+        ("step", 2, 1), ("joined", 1, 0), ("step", 1, 1),
+    ]

@@ -2,10 +2,12 @@
 
 Each test instance replays a block of randomly generated operation
 sequences (schedule / cancel / reschedule / duplicate instants /
-cancel-inside-callback / negative delays / Events / instant-end) on
-both the live kernel and the frozen seed copy and asserts the full
-observation logs match — fire order, ``now`` at every fire, raised
-error types, final clock.  See :mod:`repro.sim.difftest`.
+cancel-inside-callback / negative delays / Events / instant-end /
+same-instant chains) on both the live kernel and the frozen seed copy,
+driven by ``run``, by ``run_until_complete`` then ``run``, or by
+``step``, and asserts the full observation logs match — fire order,
+``now`` at every fire, raised error types, final clock.  See
+:mod:`repro.sim.difftest`.
 
 The default matrix runs 250 sequences (10 blocks x 25) in a few
 hundred milliseconds.  ``REPRO_DIFFTEST_CASES`` scales the per-block
@@ -38,8 +40,8 @@ def test_differential_block(seed0: int) -> None:
 def test_differential_long_sequences(seed: int) -> None:
     # longer programs raise the odds of deep same-instant cascades and
     # cancel-chains that short blocks rarely reach
-    difftest.check_sequence(seed, n_ops=160, mode="run")
-    difftest.check_sequence(seed, n_ops=160, mode="step")
+    for mode in difftest.MODES:
+        difftest.check_sequence(seed, n_ops=160, mode=mode)
 
 
 def test_generation_is_deterministic() -> None:
@@ -123,3 +125,22 @@ def test_late_process_start_is_detected() -> None:
         )
     finally:
         difftest.Simulator = real  # type: ignore[misc]
+
+
+def test_complete_mode_stops_mid_chain() -> None:
+    # not vacuous: run_until_complete returns with links of a
+    # same-instant chain still queued at its instant, and the run that
+    # follows fires them there
+    from repro.sim.kernel import Simulator
+
+    parked = 0
+    for seed in range(200):
+        log = difftest.replay(Simulator, difftest.generate_ops(seed, 40), mode="complete")
+        kinds = [entry[0] for entry in log]
+        if "complete" in kinds:
+            at = kinds.index("complete")
+            stop = log[at][2]
+            parked += any(
+                entry[0] == "chain" and entry[3] == stop for entry in log[at + 1:]
+            )
+    assert parked > 0

@@ -3,7 +3,7 @@
 The differential suite (`test_kernel_differential.py`) asserts the
 wheel is observably seed-identical; these tests pin the wheel-specific
 mechanics the seed never had — tombstone/epoch accounting, compaction
-bounds, the handle arena, FIRED-marker parking — plus the seed-parity
+bounds, the handle arena, mid-batch parking — plus the seed-parity
 corners called out in the kernel contract (cancel idempotency,
 same-instant batching across all three drive loops, reentrancy).
 """
@@ -12,10 +12,10 @@ from __future__ import annotations
 
 import pytest
 
+from repro.sim import _seed_kernel
 from repro.sim.kernel import SimulationError, Simulator
 from repro.sim.timerwheel import (
     COMPACT_EPOCH_DELTA,
-    FIRED,
     TOMBSTONE,
     Timer,
     TimerWheel,
@@ -156,7 +156,7 @@ def test_compact_unwraps_single_survivor_bucket() -> None:
     wheel.push(1.0, TOMBSTONE)
     survivor = lambda: None  # noqa: E731
     wheel.push(1.0, survivor)
-    wheel.push(1.0, FIRED)
+    wheel.push(1.0, TOMBSTONE)
     assert wheel.compact() == 2
     assert wheel.slots[1.0] is survivor  # demoted back to a lone entry
     assert wheel.keys == [1.0]
@@ -235,9 +235,8 @@ def test_ruc_parks_unfired_same_instant_remainder() -> None:
 
 
 def test_ruc_abandoned_bucket_never_refires() -> None:
-    # entries dispatched before the awaited process finished are
-    # FIRED-marked; a later run() over the leftover bucket must not
-    # run them again
+    # entries dispatched before the awaited process finished leave the
+    # bucket; a later run() over the parked rest must not run them again
     sim = Simulator()
     log: list = []
     sim.call_in(1.0, lambda: log.append("before"))
@@ -251,6 +250,99 @@ def test_ruc_abandoned_bucket_never_refires() -> None:
     assert log == ["before"]
     sim.run()
     assert log == ["before", "after"]
+
+
+def _awaited_scenario(sim, log: list, crowded: bool):
+    """A process that queues same-instant work just before it returns;
+    *crowded* puts a second timer in its instant, so the instant is a
+    list bucket instead of a lone entry."""
+
+    def body():
+        yield 1.0
+        sim.call_in(0.0, lambda: log.append("queued-before-return"))
+        return "v"
+
+    proc = sim.process(body())
+    if crowded:
+        sim.call_in(1.0, lambda: log.append("same-instant-timer"))
+    return proc
+
+
+@pytest.mark.parametrize("crowded", [False, True])
+def test_ruc_stops_in_the_completion_slot_of_an_unwatched_process(crowded) -> None:
+    # nothing subscribes to the process, so it would complete on the
+    # spot; run_until_complete keeps its completion Event and stops in
+    # that slot, after the work queued ahead of it
+    sim = Simulator()
+    log: list = []
+    proc = _awaited_scenario(sim, log, crowded)
+    assert sim.run_until_complete(proc) == "v"
+    expected = ["queued-before-return"]
+    if crowded:
+        expected.insert(0, "same-instant-timer")
+    assert log == expected
+
+
+def test_unwatched_process_completes_on_the_spot() -> None:
+    sim = Simulator()
+    seen: list = []
+
+    def body():
+        yield 1.0
+        return "v"
+
+    proc = sim.process(body())
+    # queued behind the process's start, so its timer follows the sleep
+    sim.call_in(0.0, lambda: sim.call_in(1.0, lambda: seen.append((proc.processed, proc.value))))
+    sim.run()
+    # processed as the generator returned, ahead of the timer queued
+    # behind its sleep: no completion Event sat between them
+    assert seen == [(True, "v")]
+
+
+def test_lone_entry_pushes_at_now_join_the_ready_list() -> None:
+    # a lone entry's same-instant pushes append to the draining slot:
+    # FIFO order, no new key on the instant heap, and a cancel inside
+    # the chain tombstones the pending link
+    sim = Simulator()
+    log: list = []
+    keys_seen: list = []
+
+    def link(k: int) -> None:
+        log.append((k, sim.now))
+        keys_seen.append(list(sim._keys))
+        if k == 0:
+            sim.call_in(0.0, lambda: link(1))
+            doomed = sim.call_in(0.0, lambda: link(99))
+            sim.call_in(0.0, lambda: link(2))
+            doomed.cancel()
+
+    sim.call_in(1.0, lambda: link(0))
+    sim.call_in(2.0, lambda: log.append(("next", sim.now)))
+    sim.run()
+    assert log == [(0, 1.0), (1, 1.0), (2, 1.0), ("next", 2.0)]
+    assert keys_seen == [[2.0]] * 3
+
+
+@pytest.mark.parametrize("sim_cls", [Simulator, _seed_kernel.Simulator], ids=["wheel", "seed"])
+def test_run_resumes_after_a_lone_callback_raised(sim_cls) -> None:
+    # the raising callback had queued same-instant work: it must still
+    # be pending, at its instant, for the next run
+    sim = sim_cls()
+    log: list = []
+
+    def boom() -> None:
+        sim.call_in(0.0, lambda: log.append(("later", sim.now)))
+        raise RuntimeError("boom")
+
+    sim.call_in(1.0, boom)
+    sim.call_in(2.0, lambda: log.append(("next", sim.now)))
+    with pytest.raises(RuntimeError):
+        sim.run()
+    assert sim.peek() == 1.0
+    sim.call_in(0.0, lambda: log.append(("pushed", sim.now)))
+    sim.run()
+    assert log == [("later", 1.0), ("pushed", 1.0), ("next", 2.0)]
 
 
 # -- handle arena ------------------------------------------------------------
@@ -338,6 +430,16 @@ def test_negative_delay_rejected_with_seed_message() -> None:
         sim.call_at(-0.5, lambda: None)
     with pytest.raises(SimulationError):
         sim.schedule(sim.event(), -0.5)
+
+
+def test_call_in_negative_delay_names_call_in() -> None:
+    # the message names the method called and the delay passed, not
+    # the absolute instant call_at would have been handed
+    sim = Simulator()
+    with pytest.raises(SimulationError, match=r"call_in\(-1\.0\): negative delay \(now=0\.0\)"):
+        sim.call_in(-1.0, lambda: None)
+    with pytest.raises(SimulationError, match=r"call_at\(-0\.5\) is in the past"):
+        sim.call_at(-0.5, lambda: None)
 
 
 def test_wheel_reference_push_matches_kernel_inline_push() -> None:
