@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Generator, Sequence
+from typing import Dict, Generator, Sequence
 
 from repro.net.link import Link, Network
 from repro.sim.kernel import Simulator
@@ -62,6 +62,9 @@ class TcpModel:
         self.mss_bytes = mss_bytes
         self.init_cwnd_segments = init_cwnd_segments
         self.max_slow_start_rounds = max_slow_start_rounds
+        #: size_bytes -> the latency floor's RTT factor (a pure
+        #: function of the size and the constants above)
+        self._floor_factors: Dict[float, float] = {}
 
     # -- analytics -------------------------------------------------------------
 
@@ -117,18 +120,22 @@ class TcpModel:
 
         Slow start needs ``r`` congestion-window rounds to cover the
         object; the last window only pays its one-way propagation, so
-        the floor is ``(r − 0.5) · RTT`` (min one half RTT).
+        the floor is ``(r − 0.5) · RTT`` (min one half RTT).  The
+        factor is computed once per size and kept.
         """
-        if size_bytes <= 0:
-            return 0.0
-        cwnd = self.init_cwnd_segments * self.mss_bytes
-        sent = 0.0
-        rounds = 0
-        while sent < size_bytes and rounds < self.max_slow_start_rounds:
-            sent += cwnd
-            cwnd *= 2
-            rounds += 1
-        return max(rounds - 0.5, 0.5) * rtt
+        factor = self._floor_factors.get(size_bytes)
+        if factor is None:
+            if size_bytes <= 0:
+                return 0.0
+            cwnd = self.init_cwnd_segments * self.mss_bytes
+            sent = 0.0
+            rounds = 0
+            while sent < size_bytes and rounds < self.max_slow_start_rounds:
+                sent += cwnd
+                cwnd *= 2
+                rounds += 1
+            factor = self._floor_factors[size_bytes] = max(rounds - 0.5, 0.5)
+        return factor * rtt
 
     def download(
         self,

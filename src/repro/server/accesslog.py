@@ -8,15 +8,13 @@ stage (Tables 3a/3b).  Every simulated server keeps an equivalent log.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import List, Optional, Sequence
+from typing import List, NamedTuple, Optional, Sequence
 
 from repro.server.http import HTTPRequest, Method, Status
 
 
-@dataclass(frozen=True)
-class LogRecord:
-    """One served (or refused) request."""
+class LogRecord(NamedTuple):
+    """One served (or refused) request (immutable, read by attribute)."""
 
     arrival_time: float
     client_id: str
@@ -44,17 +42,19 @@ class AccessLog:
         completion_time: Optional[float] = None,
     ) -> None:
         """Append one record."""
+        # positional, in field order: one call per request, and keyword
+        # arguments cost a NamedTuple half again as much
         self.records.append(
             LogRecord(
-                arrival_time=arrival_time,
-                client_id=request.client_id,
-                method=request.method,
-                path=request.path,
-                status=status,
-                bytes_sent=bytes_sent,
-                completion_time=completion_time,
-                is_mfc=request.is_mfc,
-                request_id=request.request_id,
+                arrival_time,
+                request.client_id,
+                request.method,
+                request.path,
+                status,
+                bytes_sent,
+                completion_time,
+                request.is_mfc,
+                request.request_id,
             )
         )
 

@@ -5,12 +5,14 @@ identical* to the frozen seed heap (:mod:`repro.sim._seed_kernel`).
 This module makes that claim testable: it generates random operation
 sequences — schedules, cancellations, reschedules, duplicate
 timestamps, cancel-inside-callback, zero / sub-ulp / negative-clamped
-delays, instant-end transactions, full Events, processes that sleep,
-wait on events and spawn (and wait on) children, interrupts,
-same-instant chains (each link pushes the next at ``now``, from a lone
-entry as often as from a dense bucket, and one link cancels either the
-link it just pushed or any op's handle) — replays each sequence on
-both kernels, and compares the complete observation logs:
+delays, instant-end transactions, full Events, processes that sleep
+(with a ``yield 0`` ahead of every step, which the wheel kernel may
+continue in place), wait on events and spawn (and wait on) children,
+interrupts, same-instant chains (each link pushes the next at ``now``,
+from a lone entry as often as from a dense bucket, and one link
+cancels either the link it just pushed or any op's handle) — replays
+each sequence on both kernels, and compares the complete observation
+logs:
 
 - every callback / event / instant-end firing ``(kind, op id, now)``
   and every process step ``("proc", op id, step, value, now)`` in
@@ -212,9 +214,14 @@ def replay(
         # every step logs what it resumed with; an interrupt is caught
         # and logged, so the process carries on with its next step
         obs.append(("proc", oid, -1, None, sim.now))
-        for i, step in enumerate(steps):
+        # a zero sleep ahead of every step: after a start or a sleep the
+        # wheel kernel continues it in place when its wake runs next
+        script = [s for step in steps for s in (("zero",), step)]
+        for i, step in enumerate(script):
             try:
-                if step[0] == "sleep":
+                if step[0] == "zero":
+                    value = yield 0
+                elif step[0] == "sleep":
                     value = yield step[1]
                 elif step[0] == "event":
                     event = sim.event()

@@ -12,11 +12,12 @@ Two kinds of entry live in the pending set:
   one-tuple ``(event,)``;
 - a bare callback — the *fast path*: no value, no subscriber list and
   no state machine.  ``call_at`` / ``call_in`` schedule one and return
-  a :class:`~repro.sim.timerwheel.Timer` handle for it, generator
-  processes that ``yield`` a plain number sleep on one, and
-  same-instant hand-offs (process start, interrupt delivery,
+  a :class:`~repro.sim.timerwheel.Timer` handle for it; a generator
+  process that yields a plain number sleeps on its one cached wake
+  callback through ``_push_sleep``, which returns only the instant;
+  and same-instant hand-offs (process start, interrupt delivery,
   late-subscriber relays) take their FIFO slot with one through
-  ``_push_now``, which returns no handle.
+  ``_push_now``, which returns nothing.
 
 The hand-off rule: an Event is created only where something needs its
 value, its subscribers or a condition.  A hand-off that only holds a
@@ -25,6 +26,9 @@ it stands for would have been scheduled, so it lands in the same
 bucket position and results stay byte-identical.  A process nobody
 waits on completes without an Event (see ``process.py``);
 :meth:`Simulator.run_until_complete` subscribes to the one it awaits.
+A zero sleep whose wake would be the very next entry the kernel runs
+is not pushed at all: the process continues in place (see *in-place
+continuation* below).
 
 **The ready list.**  A lone entry leaves its slot before it runs, and
 while it runs the slot holds the kernel's ready list: a push at
@@ -35,6 +39,18 @@ allocates nothing.  During that drain the instant's slot is occupied
 while its key is off the heap; a stop mid-chain (``run_until_complete``)
 or a raising callback hands the unfired rest back as an ordinary
 bucket with its key on the heap.
+
+**In-place continuation.**  The slot of the running instant tells a
+process whether its wake would run next: it would when the slot holds
+the empty ready list (the wake is the running lone entry and nothing
+was pushed behind it) or when the wake is the last cell of the list
+being drained (the ready list or a dense bucket).  A process that
+yields ``0`` inside such a wake skips the push and the kernel
+round trip and runs on; nothing else could have run in between, and
+the instant-end callbacks still run after the instant drains, so
+results stay byte-identical.  ``step`` pops its entry before running
+it, so nothing continues in place under single-stepping; the frozen
+seed kernel has no slots, so nothing does there either.
 
 Pending entries live on a :class:`~repro.sim.timerwheel.TimerWheel`:
 a dict of slot buckets keyed by the exact float timestamp plus a
@@ -87,8 +103,6 @@ from repro.sim.timerwheel import (
 
 __all__ = ["SimulationError", "Simulator", "Timer"]
 
-_new_timer = Timer.__new__
-
 #: the Process class, bound by the first Simulator.process call
 _Process: Any = None
 
@@ -106,11 +120,10 @@ class Simulator:
     """
 
     __slots__ = (
-        "_now",
+        "now",
         "_wheel",
         "_slots",
         "_keys",
-        "_timer_pool",
         "_running",
         "_instant_cbs",
         "_cancel_seen",
@@ -118,7 +131,9 @@ class Simulator:
     )
 
     def __init__(self) -> None:
-        self._now: float = 0.0
+        #: current simulated time in seconds; only the run loops and
+        #: ``step`` advance it
+        self.now: float = 0.0
         wheel = TimerWheel()
         self._wheel = wheel
         # Hot-path aliases of the wheel's internals.  The wheel only
@@ -127,7 +142,6 @@ class Simulator:
         # across compactions.
         self._slots = wheel.slots
         self._keys = wheel.keys
-        self._timer_pool = wheel.pool
         self._running = False
         #: callbacks to run when the current instant finishes draining
         self._instant_cbs: list = []
@@ -136,11 +150,6 @@ class Simulator:
         #: the draining instant's slot while its lone entry runs (see
         #: run): same-instant pushes append here without a key push
         self._ready: list = []
-
-    @property
-    def now(self) -> float:
-        """Current simulated time in seconds."""
-        return self._now
 
     # -- scheduling ----------------------------------------------------
 
@@ -154,7 +163,7 @@ class Simulator:
         """Arrange for *event* to fire ``delay`` seconds from now."""
         if delay < 0:
             raise SimulationError(f"cannot schedule into the past (delay={delay})")
-        when = self._now + delay
+        when = self.now + delay
         entry = (event,)
         slots = self._slots
         cur = slots.get(when)
@@ -166,29 +175,19 @@ class Simulator:
         else:
             slots[when] = [cur, entry]
 
-    def _push_timer(
+    def _push_sleep(
         self,
         delay: float,
         fn: Callable[[], Any],
-        _Timer: type = Timer,
-        _new: Callable = Timer.__new__,
         _heappush: Callable = heappush,
-    ) -> Timer:
-        """Push a bare-callback entry; no Event machinery.
+    ) -> float:
+        """Push a process's wake *delay* seconds from now; no handle.
 
-        Process sleeps ride this path; the handle is drawn from the
-        wheel's arena when one is available (the sleep resume path
-        returns released handles there).
+        Returns the instant: the sleeping process keeps it, and an
+        interrupt tombstones the entry with
+        :func:`~repro.sim.timerwheel.cancel_entry`.
         """
-        when = self._now + delay
-        pool = self._timer_pool
-        if pool:
-            timer = pool.pop()
-        else:
-            timer = _new(_Timer)
-            timer.sim = self
-        timer.when = when
-        timer.fn = fn
+        when = self.now + delay
         slots = self._slots
         cur = slots.get(when)
         if cur is None:
@@ -198,7 +197,7 @@ class Simulator:
             cur.append(fn)
         else:
             slots[when] = [cur, fn]
-        return timer
+        return when
 
     def _push_now(
         self, fn: Callable[[], Any], _heappush: Callable = heappush
@@ -207,11 +206,10 @@ class Simulator:
 
         A same-instant hand-off (process start, interrupt delivery,
         late-subscriber relay) only needs its FIFO slot and is never
-        cancelled, so unlike :meth:`_push_timer` it draws no handle
-        from the arena.  The key is ``now + 0.0`` — the slot a
-        zero-delay :meth:`schedule` takes.
+        cancelled.  The key is ``now + 0.0`` — the slot a zero-delay
+        :meth:`schedule` takes.
         """
-        when = self._now
+        when = self.now
         slots = self._slots
         cur = slots.get(when)
         if cur is None:
@@ -234,7 +232,7 @@ class Simulator:
 
         (The trailing defaults pre-bind globals; do not pass them.)
         """
-        now = self._now
+        now = self.now
         if when < now:
             raise SimulationError(
                 f"call_at({when}) is in the past (now={now})"
@@ -269,7 +267,7 @@ class Simulator:
 
         (The trailing defaults pre-bind globals; do not pass them.)
         """
-        now = self._now
+        now = self.now
         when = now + delay
         if when < now:
             raise SimulationError(
@@ -381,7 +379,7 @@ class Simulator:
         keys = self._keys
         slots = self._slots
         when = keys[0]  # IndexError when empty, like the seed's heappop
-        if when < self._now:
+        if when < self.now:
             raise SimulationError("event heap corrupted: time went backwards")
         bucket = slots[when]
         if bucket.__class__ is list:
@@ -393,12 +391,12 @@ class Simulator:
             obj = bucket
             del slots[when]
             heappop(keys)
-        self._now = when
+        self.now = when
         if obj.__class__ is tuple:
             obj[0]._fire()
         else:
             obj()
-        while self._instant_cbs and (not keys or keys[0] != self._now):
+        while self._instant_cbs and (not keys or keys[0] != self.now):
             self._run_instant_end()
 
     def run(self, until: Optional[float] = None) -> None:
@@ -420,7 +418,7 @@ class Simulator:
             compact_at = self._cancel_seen + COMPACT_EPOCH_DELTA
             stop = math.inf if until is None else until
             while True:
-                if icbs and (not keys or keys[0] != self._now):
+                if icbs and (not keys or keys[0] != self.now):
                     # the current instant has fully drained: run its
                     # end-of-instant transactions (which may push new
                     # events at this very instant) before moving on
@@ -436,7 +434,7 @@ class Simulator:
                 when = keys[0]
                 if when > stop:
                     break
-                self._now = when
+                self.now = when
                 bucket = slots[when]
                 if bucket.__class__ is list:
                     # drained in place: same-instant work pushed by a
@@ -471,8 +469,8 @@ class Simulator:
                                 obj()
                         ready.clear()
                     del slots[when]
-            if until is not None and self._now < until:
-                self._now = until
+            if until is not None and self.now < until:
+                self.now = until
         finally:
             self._running = False
             self._release_ready()
@@ -503,7 +501,7 @@ class Simulator:
             timer_cls = Timer
             compact_at = self._cancel_seen + COMPACT_EPOCH_DELTA
             while not process._processed:
-                if icbs and (not keys or keys[0] != self._now):
+                if icbs and (not keys or keys[0] != self.now):
                     # end of the current instant: run its transactions
                     # (they may push same-instant events) before either
                     # advancing time or declaring a deadlock
@@ -518,7 +516,7 @@ class Simulator:
                 when = keys[0]
                 if when > limit:
                     raise SimulationError(f"simulation exceeded time limit {limit}")
-                self._now = when
+                self.now = when
                 bucket = slots[when]
                 if bucket.__class__ is not list:
                     # lone entry: as in run, the ready list takes the
@@ -590,7 +588,7 @@ class Simulator:
         in the bucket too, as a raising list bucket keeps them.
         """
         ready = self._ready
-        when = self._now
+        when = self.now
         if self._slots.get(when) is not ready:
             return
         if ready:

@@ -7,11 +7,12 @@ one of two things:
   event fires, then resumes with the event's value (or has the event's
   exception thrown into it);
 - a plain **number** — shorthand for "sleep this many seconds".  The
-  kernel schedules a bare :class:`~repro.sim.kernel.Timer` (no Event
-  allocation, no subscriber list), which is the fast path the server
-  pipeline's CPU/disk service times and the coordinator's epoch waits
-  ride on.  ``yield 0.25`` behaves exactly like
-  ``yield sim.timeout(0.25)``, resuming with ``None``.
+  kernel pushes the process's wake callback at that instant (no Event,
+  no subscriber list, no handle: the process records only the
+  instant), which is the fast path the server pipeline's CPU/disk
+  service times and the coordinator's epoch waits ride on.
+  ``yield 0.25`` behaves exactly like ``yield sim.timeout(0.25)``,
+  resuming with ``None``.
 
 A :class:`Process` is itself an event that fires when the generator
 returns, so processes can wait on each other.  Only a process someone
@@ -22,14 +23,26 @@ the usual late-subscriber hand-off), and
 the process it awaits, so it stops in the completion's FIFO slot.  A
 failure always fires, so an unwatched one still surfaces from the run.
 
-**Starting.**  Creating a process pushes one bare callback at the
-current instant (no start Event): when it fires, the generator runs
-to its first ``yield``.  The push takes the FIFO slot a zero-delay
-start Event would take, so processes created at one instant start in
-creation order, after everything already queued there.  The start is
-not cancellable: a process interrupted before its first step still
-runs to its first ``yield``, and the :class:`Interrupt` is thrown in
-there.  Interrupt delivery is the same kind of bare hand-off.
+**Starting and sleeping.**  Each process binds one wake callback,
+``_wake``, when it is created; it is both the start entry and every
+sleep entry.  Creating a process pushes it at the current instant (no
+start Event): when it fires, the generator runs to its first
+``yield``.  The push takes the FIFO slot a zero-delay start Event
+would take, so processes created at one instant start in creation
+order, after everything already queued there.  The start is not
+cancellable: a process interrupted before its first step still runs
+to its first ``yield``, and the :class:`Interrupt` is thrown in there.
+Interrupt delivery is the same kind of bare hand-off.  An interrupt
+during a sleep tombstones the pending wake by its instant and
+identity, as ``Timer.cancel`` does.
+
+**In-place continuation.**  A ``yield 0`` inside ``_wake`` continues
+the generator on the spot when the wake it would push is the entry
+the kernel would run next anyway (see the kernel's docstring): no
+push, no kernel round trip, the same results.  Resumes from an Event
+(``_resume``) never continue in place, because other subscribers of
+that Event may still run after them; neither does anything on the
+frozen seed kernel, where a sleep keeps its ``_push_timer`` handle.
 """
 
 from __future__ import annotations
@@ -37,7 +50,12 @@ from __future__ import annotations
 from typing import Any, Generator, Optional
 
 from repro.sim.events import Event, _hand_off
-from repro.sim.kernel import SimulationError, Simulator, Timer
+from repro.sim.kernel import SimulationError, Simulator
+from repro.sim.timerwheel import cancel_entry
+
+#: stands in for the slots of a kernel without them (the frozen seed
+#: kernel): no wake is ever found there, so nothing continues in place
+_NO_SLOTS: dict = {}
 
 
 class Interrupt(Exception):
@@ -48,23 +66,10 @@ class Interrupt(Exception):
         self.cause = cause
 
 
-class _Wake:
-    """Event-shaped singleton the start push and sleep timers resume a
-    process with (always ok, value ``None``), so they reuse the one
-    resume path instead of duplicating it."""
-
-    __slots__ = ()
-    _ok = True
-    value = None
-
-
-_WAKE = _Wake()
-
-
 class Process(Event):
     """A running simulation process (also an awaitable event)."""
 
-    __slots__ = ("_gen", "_waiting_on", "_sleep_timer")
+    __slots__ = ("_gen", "_waiting_on", "_wake", "_sleep_at")
 
     def __init__(self, sim: Simulator, generator: Generator) -> None:
         super().__init__(sim)
@@ -74,8 +79,10 @@ class Process(Event):
             )
         self._gen = generator
         self._waiting_on: Optional[Event] = None
-        self._sleep_timer: Optional[Timer] = None
-        _hand_off(sim, self._start)
+        #: the pending sleep's instant (a Timer on the seed kernel)
+        self._sleep_at: Any = None
+        self._wake = wake = self._advance
+        _hand_off(sim, wake)
 
     @property
     def is_alive(self) -> bool:
@@ -85,11 +92,11 @@ class Process(Event):
     def interrupt(self, cause: Any = None) -> None:
         """Throw :class:`Interrupt` into the process at its yield point.
 
-        No-op if the process already finished.  The event (or sleep
-        timer) the process was waiting on is detached, so a later
-        firing of that event is ignored by this process.  So is the
-        wait the process is in when the interrupt lands, which differs
-        when an earlier interrupt of the same instant landed first.
+        No-op if the process already finished.  The event (or sleep)
+        the process was waiting on is detached, so a later firing of
+        that event is ignored by this process.  So is the wait the
+        process is in when the interrupt lands, which differs when an
+        earlier interrupt of the same instant landed first.
         """
         if self._triggered:
             return
@@ -103,10 +110,14 @@ class Process(Event):
         if target is not None:
             target.unsubscribe(self._resume)
             self._waiting_on = None
-        timer = self._sleep_timer
-        if timer is not None:
-            timer.cancel()
-            self._sleep_timer = None
+        at = self._sleep_at
+        if at is not None:
+            self._sleep_at = None
+            cancel = getattr(at, "cancel", None)
+            if cancel is not None:
+                cancel()  # the seed kernel's Timer handle
+            else:
+                cancel_entry(self.sim._slots, at, self._wake)
 
     def _throw_in(self, exc: BaseException) -> None:
         if self._triggered:
@@ -122,8 +133,30 @@ class Process(Event):
             return
         self._wait_on(target)
 
-    def _start(self) -> None:
-        self._resume(_WAKE)
+    def _advance(self) -> None:
+        """The wake entry: run the generator on from its start or sleep."""
+        self._sleep_at = None
+        gen = self._gen
+        while True:
+            try:
+                target = gen.send(None)
+            except StopIteration as stop:
+                self._finish(stop.value)
+                return
+            except BaseException as err:
+                self._finish_failed(err)
+                return
+            cls = target.__class__
+            if (cls is float or cls is int) and target == 0:
+                # continue in place when this wake would run next: the
+                # lone entry with an empty ready list behind it, or the
+                # last cell of the list being drained
+                sim = self.sim
+                cur = getattr(sim, "_slots", _NO_SLOTS).get(sim.now)
+                if cur.__class__ is list and (not cur or cur[-1] is self._wake):
+                    continue
+            self._wait_on(target)
+            return
 
     def _resume(self, event: Event) -> None:
         self._waiting_on = None
@@ -141,35 +174,22 @@ class Process(Event):
             return
         self._wait_on(target)
 
-    def _resume_from_sleep(self) -> None:
-        timer = self._sleep_timer
-        self._sleep_timer = None
-        if timer is not None:
-            # The kernel has already released this entry (it only
-            # calls us after popping it), and nothing else holds the
-            # handle, so the timer is safe to recycle through the
-            # wheel's arena.  Public call_at/call_in handles are never
-            # pooled — user code may keep them.  getattr: the frozen
-            # seed kernel used by the parity suite has no pool.
-            pool = getattr(self.sim, "_timer_pool", None)
-            if pool is not None:
-                timer.fn = None  # drop the callback ref while parked
-                pool.append(timer)
-        self._resume(_WAKE)
-
     def _wait_on(self, target: Any) -> None:
         cls = target.__class__
         if cls is float or cls is int:
-            # bare-number sleep: one Timer push, no Event machinery
+            # bare-number sleep: one wake push, no Event machinery
             if target < 0:
                 self._gen.close()
                 self._finish_failed(
                     SimulationError(f"negative sleep: {target!r}")
                 )
                 return
-            self._sleep_timer = self.sim._push_timer(
-                target, self._resume_from_sleep
-            )
+            sim = self.sim
+            try:
+                push = sim._push_sleep
+            except AttributeError:  # the frozen seed kernel
+                push = sim._push_timer
+            self._sleep_at = push(target, self._wake)
             return
         if not isinstance(target, Event):
             err = SimulationError(
@@ -186,6 +206,9 @@ class Process(Event):
         target.subscribe(self._resume)
 
     def _finish(self, value: Any) -> None:
+        # the wake refers back to the process: drop it, so a finished
+        # process is freed by refcount rather than the cycle collector
+        self._wake = None
         if self._callbacks:
             self.succeed(value)
             return
@@ -198,4 +221,5 @@ class Process(Event):
 
     def _finish_failed(self, err: BaseException) -> None:
         # a failure always fires: unwatched, it surfaces from the run
+        self._wake = None
         self.fail(err)

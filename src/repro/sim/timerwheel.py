@@ -55,11 +55,10 @@ invisible to fire order and to ``now`` at every fire: tombstones never
 run user code, and instant-end callbacks never survive past their own
 instant.
 
-**Timer arena.**  ``pool`` is a freelist of released Timer handles.
-Only the process sleep path recycles through it (``Process`` returns
-its handle after clearing its own reference); handles returned by
-``call_at``/``call_in`` are never pooled because user code may keep
-them indefinitely.
+**Process sleeps hold no handle.**  A sleeping process records only
+the instant of its pending wake (its one cached wake callback, see
+``process.py``); an interrupt tombstones that entry with
+:func:`cancel_entry`, the same slot scan ``Timer.cancel`` uses.
 """
 
 from __future__ import annotations
@@ -105,24 +104,7 @@ class Timer:
         if fn is None:
             return
         self.fn = None
-        slots = self.sim._slots
-        when = self.when
-        cur = slots.get(when)
-        if cur is None:
-            return  # already fired (slot drained): cancel is a no-op
-        if cur.__class__ is list:
-            # scan backwards: while this instant is mid-drain the run
-            # loop leaves already-fired cells in place, and a pending
-            # duplicate of a fired callback always sits later in FIFO
-            # order, so the reverse scan tombstones the pending copy
-            for i in range(len(cur) - 1, -1, -1):
-                if cur[i] is fn:
-                    cur[i] = TOMBSTONE
-                    Timer._cancel_epoch += 1
-                    return
-        elif cur is fn:
-            slots[when] = TOMBSTONE
-            Timer._cancel_epoch += 1
+        cancel_entry(self.sim._slots, self.when, fn)
 
     @property
     def active(self) -> bool:
@@ -138,15 +120,38 @@ class Timer:
         return cur is fn
 
 
+def cancel_entry(slots: Dict[float, Any], when: float, fn: Any) -> None:
+    """Tombstone the pending entry *fn* at instant *when*, if there.
+
+    A no-op when the slot has drained or holds no pending *fn*.  A list
+    slot is scanned backwards: while its instant is mid-drain the run
+    loop leaves already-fired cells in place, and a pending duplicate
+    of a fired callback always sits later in FIFO order, so the reverse
+    scan tombstones the pending copy.
+    """
+    cur = slots.get(when)
+    if cur is None:
+        return
+    if cur.__class__ is list:
+        for i in range(len(cur) - 1, -1, -1):
+            if cur[i] is fn:
+                cur[i] = TOMBSTONE
+                Timer._cancel_epoch += 1
+                return
+    elif cur is fn:
+        slots[when] = TOMBSTONE
+        Timer._cancel_epoch += 1
+
+
 class TimerWheel:
     """Slot buckets plus a key-heap of occupied instants.
 
     The kernel's hot paths inline :meth:`push` against direct aliases
     of ``slots``/``keys`` (one attribute hop fewer per event); this
     class is the reference implementation of the invariants and owns
-    the cold-path maintenance: compaction, stats, and the handle
-    arena.  All rebuilds mutate ``slots``/``keys``/``pool`` in place —
-    never rebind them — so the kernel's aliases stay valid.
+    the cold-path maintenance: compaction and stats.  All rebuilds
+    mutate ``slots``/``keys`` in place — never rebind them — so the
+    kernel's aliases stay valid.
 
     Invariants:
 
@@ -156,7 +161,10 @@ class TimerWheel:
       the drain ends (see ``kernel.py``);
     - ``slots[when]`` is a bare entry or a list of two or more entries
       in FIFO order, where an entry is a callable (a timer callback or
-      :data:`TOMBSTONE`) or a one-tuple ``(event,)``;
+      :data:`TOMBSTONE`) or a one-tuple ``(event,)``.  Two exceptions:
+      ``step`` may leave a one-entry list behind the entry it popped,
+      and the only empty list a slot ever holds is the kernel's ready
+      list while the instant's lone entry runs;
     - buckets are drained in place and removed from ``slots`` only at
       the end of the instant, so a same-instant ``cancel()`` still
       reaches every not-yet-fired entry (via its backward scan), and
@@ -165,12 +173,11 @@ class TimerWheel:
       bucket it abandons mid-drain, so nothing refires.
     """
 
-    __slots__ = ("slots", "keys", "pool")
+    __slots__ = ("slots", "keys")
 
     def __init__(self) -> None:
         self.slots: Dict[float, Any] = {}
         self.keys: List[float] = []
-        self.pool: List[Timer] = []
 
     def push(self, when: float, entry: Any) -> None:
         """Append *entry* to the instant *when* (reference path)."""
@@ -214,7 +221,6 @@ class TimerWheel:
             "entries": entries,
             "live": entries - dead,
             "tombstones": dead,
-            "pooled": len(self.pool),
         }
 
     def compact(self) -> int:

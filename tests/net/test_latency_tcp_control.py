@@ -99,6 +99,19 @@ def test_latency_floor_shapes():
     assert tcp.latency_floor_s(1e6, 0.1) > tcp.latency_floor_s(1e5, 0.1)
 
 
+def test_latency_floor_memo_matches_the_closed_form():
+    # the per-size factor is cached: every size and RTT must still get
+    # exactly (rounds - 0.5) * rtt, whatever was asked before
+    tcp = TcpModel(mss_bytes=1000, init_cwnd_segments=1, max_slow_start_rounds=5)
+    sizes = (1.0, 1000.0, 1000.5, 3000.0, 7000.0, 31_000.0, 1e9)
+    rounds = (1, 1, 2, 2, 3, 5, 5)
+    for rtt in (0.1, 0.035, 0.0):
+        for size, r in zip(sizes, rounds):
+            assert tcp.latency_floor_s(size, rtt) == max(r - 0.5, 0.5) * rtt
+    assert tcp.latency_floor_s(0.0, 0.1) == 0.0
+    assert tcp.latency_floor_s(-5.0, 0.1) == 0.0
+
+
 def test_download_process_moves_all_bytes():
     sim = Simulator()
     net = Network(sim)

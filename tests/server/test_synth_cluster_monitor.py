@@ -317,6 +317,18 @@ def test_arrival_offsets():
     assert log.arrival_offsets(log.records) == [0.0, 1.0, 2.0]
 
 
+def test_log_records_are_immutable_and_keep_their_fields():
+    log = make_log_with([1.0], [2.0])
+    record = log.records[0]
+    assert type(record)._fields == (
+        "arrival_time", "client_id", "method", "path", "status",
+        "bytes_sent", "completion_time", "is_mfc", "request_id",
+    )
+    assert record.arrival_time == 1.0 and record.is_mfc
+    with pytest.raises(AttributeError):
+        record.arrival_time = 0.0  # type: ignore[misc]
+
+
 def test_log_validation():
     log = make_log_with([1.0], [])
     with pytest.raises(ValueError):

@@ -12,7 +12,11 @@ process in an ``AnyOf``, is now :func:`~repro.sim.events.deadline`: a
 cancellable ``call_in`` plus a subscription on the process, resolving
 one Event in the slot the ``AnyOf`` fired in.
 
-The old formulations are kept verbatim below.  Seeded random
+The old formulations are kept verbatim below, down to the process's
+old sleep and start path: each sleep on its own Timer handle, resumed
+through the Event path's resume, where the library's process now
+wakes through one cached callback and may continue a zero sleep in
+place.  Seeded random
 interleavings (plain ``random``, like :mod:`repro.sim.difftest`) run
 the same actor scripts once through the old formulations and once
 through the new ones, on the live kernel and on the frozen seed
@@ -67,13 +71,38 @@ KERNELS = [
 # ---------------------------------------------------------------------------
 
 
+class _Wake:
+    """Event-shaped singleton the start push and sleep timers resume a
+    process with (always ok, value ``None``), so they reuse the one
+    resume path instead of duplicating it."""
+
+    __slots__ = ()
+    _ok = True
+    value = None
+
+
+_WAKE = _Wake()
+
+
+def _push_timer(sim, delay, fn):
+    """The old sleep push: a bare callback ``delay`` from now plus its
+    Timer handle.  The frozen seed kernel still has the method; on the
+    wheel, ``call_in`` takes the same slot and returns the same kind of
+    handle (the old push drew it from an arena of recycled handles)."""
+    push = getattr(sim, "_push_timer", None)
+    if push is not None:
+        return push(delay, fn)
+    return sim.call_in(delay, fn)
+
+
 class OldProcess(Process):
     """A process started through a start Event, interrupted through a
     relay Event whose delivery throws without detaching, with late
-    subscribers relayed through a fresh Event, and a completion Event
-    scheduled whether or not anything waits on it."""
+    subscribers relayed through a fresh Event, a completion Event
+    scheduled whether or not anything waits on it, and every sleep on
+    its own Timer handle, resumed through the Event path's resume."""
 
-    __slots__ = ()
+    __slots__ = ("_sleep_timer",)
 
     def __init__(self, sim, generator) -> None:
         Event.__init__(self, sim)
@@ -125,8 +154,71 @@ class OldProcess(Process):
         relay.subscribe(lambda _ev: callback(self))
         relay.succeed()
 
+    def _resume(self, event: Event) -> None:
+        self._waiting_on = None
+        try:
+            if event._ok:
+                target = self._gen.send(event.value)
+            else:
+                event._defused = True
+                target = self._gen.throw(event.exception)
+        except StopIteration as stop:
+            self._finish(stop.value)
+            return
+        except BaseException as err:
+            self._finish_failed(err)
+            return
+        self._wait_on(target)
+
+    def _resume_from_sleep(self) -> None:
+        timer = self._sleep_timer
+        self._sleep_timer = None
+        if timer is not None:
+            # The kernel has already released this entry (it only
+            # calls us after popping it), and nothing else holds the
+            # handle, so the timer is safe to recycle through the
+            # wheel's arena.  Public call_at/call_in handles are never
+            # pooled — user code may keep them.  getattr: the frozen
+            # seed kernel used by the parity suite has no pool.
+            pool = getattr(self.sim, "_timer_pool", None)
+            if pool is not None:
+                timer.fn = None  # drop the callback ref while parked
+                pool.append(timer)
+        self._resume(_WAKE)
+
+    def _wait_on(self, target: Any) -> None:
+        cls = target.__class__
+        if cls is float or cls is int:
+            # bare-number sleep: one Timer push, no Event machinery
+            if target < 0:
+                self._gen.close()
+                self._finish_failed(
+                    SimulationError(f"negative sleep: {target!r}")
+                )
+                return
+            self._sleep_timer = _push_timer(
+                self.sim, target, self._resume_from_sleep
+            )
+            return
+        if not isinstance(target, Event):
+            err = SimulationError(
+                f"process yielded a non-event: {target!r}"
+            )
+            self._gen.close()
+            self._finish_failed(err)
+            return
+        if target is self:
+            self._gen.close()
+            self._finish_failed(SimulationError("process waited on itself"))
+            return
+        self._waiting_on = target
+        target.subscribe(self._resume)
+
     def _finish(self, value) -> None:
         self.succeed(value)
+
+    def _finish_failed(self, err: BaseException) -> None:
+        self.fail(err)
 
 
 def old_download(tcp, sim, network, links, size_bytes, rtt, weight):

@@ -114,7 +114,7 @@ def test_late_process_start_is_detected() -> None:
 
     class LateStartSim(Simulator):
         def _push_now(self, fn):  # type: ignore[override]
-            self._push_timer(1e-9, fn)
+            self.call_in(1e-9, fn)
 
     real = difftest.Simulator
     difftest.Simulator = LateStartSim  # type: ignore[misc]

@@ -3,7 +3,7 @@
 The differential suite (`test_kernel_differential.py`) asserts the
 wheel is observably seed-identical; these tests pin the wheel-specific
 mechanics the seed never had — tombstone/epoch accounting, compaction
-bounds, the handle arena, mid-batch parking — plus the seed-parity
+bounds, handle-free process sleeps, mid-batch parking — plus the seed-parity
 corners called out in the kernel contract (cancel idempotency,
 same-instant batching across all three drive loops, reentrancy).
 """
@@ -14,6 +14,7 @@ import pytest
 
 from repro.sim import _seed_kernel
 from repro.sim.kernel import SimulationError, Simulator
+from repro.sim.process import Interrupt
 from repro.sim.timerwheel import (
     COMPACT_EPOCH_DELTA,
     TOMBSTONE,
@@ -345,36 +346,56 @@ def test_run_resumes_after_a_lone_callback_raised(sim_cls) -> None:
     assert log == [("later", 1.0), ("pushed", 1.0), ("next", 2.0)]
 
 
-# -- handle arena ------------------------------------------------------------
+# -- handle-free sleeps -------------------------------------------------------
 
 
-def test_process_sleep_handles_are_pooled_and_reused() -> None:
+def test_interrupted_sleeper_leaves_one_tombstone_that_compaction_reaps() -> None:
     sim = Simulator()
+    log: list = []
 
     def sleeper():
-        yield 0.5
-        yield 0.5
+        try:
+            yield 5.0
+        except Interrupt:
+            log.append(("intr", sim.now))
+        yield 1.0
+        log.append(("done", sim.now))
 
-    sim.run_until_complete(sim.process(sleeper()))
-    pool = sim._timer_pool
-    assert len(pool) >= 1
-    recycled = pool[-1]
-    assert recycled.fn is None  # parked handles hold no callback
-
-    def sleeper2():
-        yield 0.25
-
-    sim.run_until_complete(sim.process(sleeper2()))
-    # the second process drew its sleep handle from the arena and
-    # returned it on wake
-    assert pool[-1] is recycled
+    proc = sim.process(sleeper())
+    sim.call_in(5.0, lambda: log.append(("beside", sim.now)))
+    sim.run(until=1.0)
+    assert sim._wheel.stats() == {"slots": 1, "entries": 2, "live": 2, "tombstones": 0}
+    epoch = Timer._cancel_epoch
+    proc.interrupt()
+    # the sleep's wake became the only tombstone, at its own instant
+    assert Timer._cancel_epoch == epoch + 1
+    assert sim._wheel.stats()["tombstones"] == 1
+    assert sim._slots[5.0][1] is TOMBSTONE
+    sim.run(until=1.0)  # delivers the interrupt at 1.0
+    assert log == [("intr", 1.0)]
+    assert sim.compact() == 1
+    assert sim._wheel.stats() == {"slots": 2, "entries": 2, "live": 2, "tombstones": 0}
+    sim.run()
+    assert log == [("intr", 1.0), ("done", 2.0), ("beside", 5.0)]
 
 
 def test_public_handles_are_never_pooled() -> None:
+    # sleeps take no handle, so nothing recycles one a caller holds
     sim = Simulator()
-    timer = sim.call_in(1.0, lambda: None)
+
+    def fn() -> None:
+        return None
+
+    timer = sim.call_in(1.0, fn)
+
+    def sleeper():
+        yield 0.5
+        yield 1.0
+
+    sim.process(sleeper())
     sim.run()
-    assert timer not in sim._timer_pool
+    assert (timer.sim, timer.when, timer.fn) == (sim, 1.0, fn)
+    assert not timer.active
 
 
 # -- guards and misc ---------------------------------------------------------

@@ -240,6 +240,27 @@ def test_is_alive():
     assert not proc.is_alive
 
 
+def test_finished_process_drops_its_wake():
+    # the cached wake refers back to its process: a finished or failed
+    # process lets it go, so refcounting frees the process
+    sim = Simulator()
+
+    def ok(sim):
+        yield 0.5
+
+    def bad(sim):
+        yield 0.5
+        raise RuntimeError("unhandled")
+
+    done = sim.process(ok(sim))
+    failed = sim.process(bad(sim))
+    assert done._wake is not None
+    with pytest.raises(RuntimeError):
+        sim.run()
+    assert done._wake is None and failed._wake is None
+    assert not failed.ok
+
+
 def test_many_processes_interleave_deterministically():
     sim = Simulator()
     order = []
