@@ -230,9 +230,10 @@ def estimate_job_cost(job: JobSpec) -> float:
     ramp issues: roughly ``fleet size × crowd cap``, scaled by how many
     stages run and by the epoch planner (an adaptive ramp reaches the
     knee in ~3x fewer epochs than the linear one, so those worlds pack
-    denser batches).  Fault plans / hardening add defensive overhead
-    (``HARDENED_COST_FACTOR``); cohort crowd mode replaces per-member
-    fan-out with O(cohorts) macro-flows (``COHORT_COST_FACTOR``).
+    denser batches).  Hardened worlds (``WorldSpec.hardened``) add
+    defensive overhead (``HARDENED_COST_FACTOR``); cohort crowd mode
+    replaces per-member fan-out with O(cohorts) macro-flows
+    (``COHORT_COST_FACTOR``).
     Indicator worlds cost a flat handful of requests.
     The estimate only steers batch sizing — it need not be accurate,
     just monotone enough that micro-worlds batch by the hundred while
@@ -248,10 +249,8 @@ def estimate_job_cost(job: JobSpec) -> float:
     )
     planner_name = world.planner.name if world.planner is not None else "linear"
     planner_factor = PLANNER_COST_FACTOR.get(planner_name, 1.0)
-    crowd_mode = world.crowd_mode or world.config.crowd_mode
-    mode_factor = COHORT_COST_FACTOR if crowd_mode == "cohort" else 1.0
-    hardened = world.faults is not None or bool(world.config.hardening)
-    fault_factor = HARDENED_COST_FACTOR if hardened else 1.0
+    mode_factor = COHORT_COST_FACTOR if world.crowd_mode == "cohort" else 1.0
+    fault_factor = HARDENED_COST_FACTOR if world.hardened else 1.0
     return float(
         max(
             world.fleet.n_clients

@@ -63,33 +63,11 @@ class MFCConfig:
     random_client_selection: bool = True
     #: gap between one client's sequential base measurements
     base_measure_gap_s: float = 0.2
-    #: crowd simulation mode.  "exact" runs every crowd client as its
-    #: own process + transfer (the seed behaviour, byte-stable).
-    #: "cohort" collapses statistically homogeneous clients into
-    #: weighted macro-flows with synthesized per-member samples —
-    #: O(cohorts) instead of O(crowd) per epoch, distribution-
-    #: equivalent verdicts (see worlds.equivalence).
-    crowd_mode: str = "exact"
-
-    # -- hardening knobs (the coordinator's live-target defenses) ----------
-
-    #: run the hardened coordinator: re-liveness checks with client
-    #: quarantine, invalid-epoch retry, and the safety-abort guard.
-    #: None = automatic — hardened exactly when the world carries a
-    #: fault plan, so fault-free runs stay byte-identical to the seed
+    #: run the hardened coordinator policy (:mod:`repro.core.hardening`,
+    #: whose thresholds are module constants).  None = automatic:
+    #: hardened exactly when the world carries a fault plan
+    #: (``WorldSpec.hardened``), so fault-free runs match the seed
     hardening: Optional[bool] = None
-    #: hardened: re-probe client liveness every N accepted epochs
-    reliveness_every_epochs: int = 1
-    #: hardened: an epoch missing more than this fraction of its
-    #: scheduled reports is invalid — retried, never fed to the planner
-    max_epoch_attrition: float = 0.5
-    #: hardened: retries per invalid epoch before aborting the stage
-    epoch_retry_limit: int = 2
-    #: hardened: consecutive failed unloaded health probes before the
-    #: safety-abort guard backs off (the paper's non-intrusiveness rule)
-    safety_abort_checks: int = 2
-    #: hardened: simulated-time budget per stage (None = unlimited)
-    stage_timeout_s: Optional[float] = None
 
     def validate(self) -> None:
         """Sanity-check the knob values."""
@@ -107,22 +85,8 @@ class MFCConfig:
             raise ValueError("degradation_quantile must be in (0, 1]")
         if self.stagger_interval_s is not None and self.stagger_interval_s < 0:
             raise ValueError("stagger interval cannot be negative")
-        if self.crowd_mode not in ("exact", "cohort"):
-            raise ValueError(
-                f"crowd_mode must be 'exact' or 'cohort', got {self.crowd_mode!r}"
-            )
         if self.request_timeout_s <= 0 or self.epoch_gap_s < 0:
             raise ValueError("timing knobs must be positive")
-        if self.reliveness_every_epochs < 1:
-            raise ValueError("reliveness_every_epochs must be >= 1")
-        if not 0 < self.max_epoch_attrition <= 1:
-            raise ValueError("max_epoch_attrition must be in (0, 1]")
-        if self.epoch_retry_limit < 0:
-            raise ValueError("epoch_retry_limit cannot be negative")
-        if self.safety_abort_checks < 1:
-            raise ValueError("safety_abort_checks must be >= 1")
-        if self.stage_timeout_s is not None and self.stage_timeout_s <= 0:
-            raise ValueError("stage_timeout_s must be positive")
 
     def with_(self, **overrides) -> "MFCConfig":
         """Functional update (validated)."""

@@ -14,6 +14,13 @@ Orchestrates one experiment end-to-end:
    the lossy control channel, wait out the epoch gap, collect whatever
    reports arrived, hand the aggregate to the planner.
 
+Live-target defenses sit in one :class:`~repro.core.hardening.HardeningPolicy`
+chosen by ``hardened``; the null policy is the paper's algorithm.  Each
+stage calls it at four points: stage start (re-liveness), after the base
+measurements (poisoned-base screening), after each epoch (accept, retry
+the crowd or abort the stage) and after each accepted epoch (periodic
+re-liveness).  Each epoch also asks it which reports count as samples.
+
 One delay computation and one epoch skeleton serve both crowd modes:
 exact mode runs every client as a singleton group with mailbox
 reports; cohort mode groups with :func:`~repro.core.cohort.group_cohorts`
@@ -37,6 +44,7 @@ from repro.core.cohort import (
 )
 from repro.core.config import MFCConfig
 from repro.core.epochs import PlannerSpec, degradation_aggregate_sorted
+from repro.core.hardening import Hardened, HardeningPolicy, Verdict
 from repro.core.records import (
     ClientReport,
     EpochLabel,
@@ -48,18 +56,8 @@ from repro.core.records import (
 from repro.core.scheduler import DelayEstimates, SyncScheduler, naive_plan
 from repro.core.stages import StagePlan
 from repro.net.control import ControlChannel
-from repro.server.http import Status
 from repro.sim.kernel import Simulator
 from repro.sim.process import Process
-
-#: hardened: a degradation verdict whose aggregate lands this close to
-#: the kill timer rests on censored (killed) samples, not on measured
-#: queueing delay — genuine θ-level degradation sits orders of
-#: magnitude below the 10 s timeout
-CENSORED_AGGREGATE_FRACTION = 0.5
-#: hardened mode: an epoch where at least this fraction of reports beat
-#: their own unloaded base by more than θ is built on poisoned bases
-STALE_BASE_FRACTION = 0.10
 
 
 class Coordinator:
@@ -83,14 +81,11 @@ class Coordinator:
         config.validate()
         self.sim = sim
         self.clients = list(clients)
-        #: live-target defenses: re-liveness with quarantine, invalid
-        #: epoch retry, safety-abort guard.  Off (the default) keeps the
-        #: event/RNG sequence byte-identical to the unhardened seed.
-        self.hardened = hardened
-        #: client ids the last re-liveness check could not reach
-        self._quarantined: set = set()
         self.control = control
         self.config = config
+        #: live-target defenses; the null policy (the default) keeps the
+        #: run byte-identical to the unhardened seed
+        self.policy = (Hardened if hardened else HardeningPolicy)(self)
         self.target_name = target_name
         #: epoch-progression strategy (default: the paper's linear ramp)
         self.planner = planner if planner is not None else PlannerSpec()
@@ -198,56 +193,30 @@ class Coordinator:
         """Delay computation plus the epoch loop, appending onto
         *stage_result* as results land (so an abort at any point keeps
         everything already observed)."""
-        if self.hardened:
-            # a client that died since registration must not hold up
-            # the sequential measurement phase
-            yield from self._reliveness(live, stage_result)
-        skip = frozenset(self._quarantined)
-        estimates = yield from self._delay_computation(stage, live, skip=skip)
+        policy = self.policy
+        m = self.config.requests_per_client
+        yield from policy.start_stage(stage, live, stage_result)
+        estimates = yield from self._delay_computation(stage, live)
         # base measurements: one command per client, each issuing the
         # stage's full connection count against the server
         stage_result.total_requests += len(estimates) * stage.connections
-        if self.hardened:
-            self._quarantine_poisoned_bases(stage, live, estimates, stage_result)
+        policy.screen_bases(estimates)
 
-        planner = self.planner.make(
-            self.config,
-            max_feasible_crowd=len(live) * self.config.requests_per_client,
-        )
-        epochs_accepted = 0
-        sick_streak = 0
+        planner = self.planner.make(self.config, max_feasible_crowd=len(live) * m)
         while True:
-            if (
-                self.hardened
-                and self.config.stage_timeout_s is not None
-                and self.sim.now - stage_result.started_at
-                > self.config.stage_timeout_s
-            ):
-                stage_result.reason = (
-                    f"stage timeout: exceeded the "
-                    f"{self.config.stage_timeout_s:.0f}s budget"
-                )
-                return
-            if self.hardened:
-                # the feasible crowd tracks the *pool*, not the
-                # registration-time fleet: a quarantine-shrunken pool
-                # would otherwise run epochs clamped below the
-                # requested crowd, and the planner — advancing from
-                # the clamped size — would re-request the same crowd
-                # forever
-                planner.max_feasible_crowd = min(
-                    self.config.max_crowd,
-                    len(self._pool(live, estimates))
-                    * self.config.requests_per_client,
-                )
+            pool = self._pool(live, estimates)
+            # the feasible crowd tracks the *pool*, not the
+            # registration-time fleet: a quarantine-shrunken pool would
+            # otherwise run epochs clamped below the requested crowd,
+            # and the planner — advancing from the clamped size — would
+            # re-request the same crowd forever
+            planner.max_feasible_crowd = min(self.config.max_crowd, len(pool) * m)
             nxt = planner.next_epoch()
             if nxt is None:
                 break
             crowd, label = nxt
-            attempts = 0
             while True:
-                pool = self._pool(live, estimates)
-                if self.hardened and len(pool) < self.config.min_clients:
+                if len(pool) < self.config.min_clients:
                     stage_result.reason = (
                         f"attrition: only {len(pool)} active clients "
                         f"(need {self.config.min_clients})"
@@ -260,286 +229,40 @@ class Coordinator:
                 # crowd counts synchronized commands; churn stages issue
                 # `connections` sequential server requests per command
                 stage_result.total_requests += crowd * stage.connections
-                if not self.hardened:
-                    break
-                problem = self._epoch_problem(epoch)
-                stale_problem = None
-                if problem is None:
-                    problem = stale_problem = self._stale_bases(epoch)
-                if problem is None and epoch.degraded:
-                    # validity gate (the paper's crowd-causality rule):
-                    # degradation only counts as a signal if the site
-                    # is healthy *without* the crowd — an unloaded
-                    # probe degraded too means ambient interference
-                    # (latency storm, middleware stall), not queueing
-                    healthy = yield from self._health_probe(
-                        stage, pool, stage_result, epoch
-                    )
-                    if healthy:
-                        sick_streak = 0
-                    else:
-                        sick_streak += 1
-                        if sick_streak >= self.config.safety_abort_checks:
-                            stage_result.reason = (
-                                "safety abort: baseline health degraded "
-                                f"under no load ({sick_streak} consecutive "
-                                "sick probes); backing off "
-                                "(non-intrusiveness)"
-                            )
-                            return
-                        problem = (
-                            "ambient degradation: the unloaded baseline "
-                            "probe is degraded too, so the epoch's signal "
-                            "is not crowd-caused"
-                        )
-                if problem is None:
-                    if not epoch.degraded:
-                        sick_streak = 0
-                    if (
-                        epoch.crowd_size
-                        >= self.config.min_significant_crowd
-                    ):
-                        # only verdict-bearing epochs count: one noisy
-                        # sample out of a 5-request warm-up epoch is
-                        # 20% "attrition" that says nothing about the
-                        # crowds the stopping rule actually reads
-                        stage_result.max_missing_fraction = max(
-                            stage_result.max_missing_fraction,
-                            self._epoch_attrition(epoch),
-                        )
-                        if (
-                            not epoch.degraded
-                            and epoch.aggregate_normalized_s < 0
-                        ):
-                            # a healthy epoch's aggregate quantile has
-                            # no business being negative: its magnitude
-                            # reads the stage's sample noise directly
-                            stage_result.signal_noise_fraction = max(
-                                stage_result.signal_noise_fraction,
-                                -epoch.aggregate_normalized_s
-                                / self.config.threshold_s,
-                            )
-                    break
-                # invalid: keep it for the audit trail, never feed the
-                # planner, re-check liveness and retry the crowd size
-                epoch.label = EpochLabel.INVALID
-                stage_result.invalid_epochs += 1
-                attempts += 1
-                if attempts > self.config.epoch_retry_limit:
-                    stage_result.reason = (
-                        f"invalid epoch at crowd {crowd} after "
-                        f"{attempts} attempts: {problem}"
-                    )
+                admission = yield from policy.admit(crowd, pool, epoch)
+                if admission.verdict is Verdict.ABORT:
+                    stage_result.reason = admission.reason
                     return
-                yield from self._reliveness(live, stage_result)
-                if stale_problem is not None:
-                    # the stage's base measurements are poisoned (taken
-                    # during a transient inflation that has passed):
-                    # every sample normalized against them is suspect,
-                    # including the ones that don't read implausible —
-                    # a stale base plus real queueing cancels into a
-                    # clean-looking number that masks the knee.  The
-                    # only honest recovery is fresh bases for the whole
-                    # pool before retrying the crowd.
-                    fresh = yield from self._delay_computation(
-                        stage, live, skip=frozenset(self._quarantined)
-                    )
-                    stage_result.total_requests += (
-                        len(fresh) * stage.connections
-                    )
-                    estimates.clear()
-                    estimates.update(fresh)
-                    self._quarantine_poisoned_bases(
-                        stage, live, estimates, stage_result
-                    )
+                if admission.verdict is Verdict.ACCEPT:
+                    break
+                # the retry re-checked liveness and may have re-measured
+                pool = self._pool(live, estimates)
             planner.record(epoch)
-            epochs_accepted += 1
-            if self.hardened:
-                if epochs_accepted % self.config.reliveness_every_epochs == 0:
-                    yield from self._reliveness(live, stage_result)
+            yield from policy.accepted()
 
         stage_result.outcome = planner.outcome or StageOutcome.NO_STOP
         stage_result.stopping_crowd_size = planner.stopping_crowd_size
         stage_result.earliest_degraded_crowd = planner.earliest_degraded_crowd
         stage_result.reason = planner.reason
-        if (
-            self.hardened
-            and stage_result.outcome is StageOutcome.NO_STOP
-            and planner.max_feasible_crowd
-            < min(
-                self.config.max_crowd,
-                len(live) * self.config.requests_per_client,
-            )
+        if stage_result.outcome is StageOutcome.NO_STOP and (
+            planner.max_feasible_crowd < min(self.config.max_crowd, len(live) * m)
         ):
             # the cap the planner actually hit was attrition-shrunken:
             # "no stop up to N" with N below what the fleet supported
             # must not pass as evidence of adequacy
             stage_result.truncated_crowd_cap = planner.max_feasible_crowd
 
-    # -- hardening helpers ------------------------------------------------------------
-
-    def _reliveness(
-        self, live: List[MFCClient], stage_result: Optional[StageResult] = None
-    ) -> Generator:
-        """Re-probe the fleet mid-experiment; quarantine non-responders.
-
-        The quarantine set is fully re-derived each check, so a client
-        that answers again (dropout window closed) rejoins — for the
-        current stage only if it still holds usable base measurements,
-        otherwise at the next stage's delay computation.
-        """
-        alive = yield from self._probe(live)
-        self._quarantined = {c.client_id for c in live} - alive
-        if stage_result is not None:
-            stage_result.quarantined_clients = max(
-                stage_result.quarantined_clients, len(self._quarantined)
-            )
-
     def _pool(
         self, live: List[MFCClient], estimates: Dict[str, DelayEstimates]
     ) -> List[MFCClient]:
-        """Clients eligible for the next epoch (hardened: responsive
-        and holding trustworthy base measurements)."""
-        if not self.hardened:
-            return live
+        """Clients eligible for the next epoch: responsive and holding
+        trustworthy base measurements (unhardened: all of *live*)."""
+        quarantined = self.policy.quarantined
         return [
             c
             for c in live
-            if c.client_id not in self._quarantined and c.client_id in estimates
+            if c.client_id not in quarantined and c.client_id in estimates
         ]
-
-    def _quarantine_poisoned_bases(
-        self,
-        stage: StagePlan,
-        live: List[MFCClient],
-        estimates: Dict[str, DelayEstimates],
-        stage_result: StageResult,
-    ) -> None:
-        """Drop clients whose base measurement hit the kill timer.
-
-        A timed-out base poisons normalization for the whole stage
-        (every later sample reads ``elapsed - timeout`` ≈ negative, i.e.
-        spuriously clean), so such clients sit the stage out.
-        """
-        for index, client in enumerate(live):
-            if client.client_id not in estimates:
-                continue
-            path = stage.object_for(index)
-            if client.base_times.get(path, 0.0) >= self.config.request_timeout_s:
-                del estimates[client.client_id]
-        stage_result.quarantined_clients = max(
-            stage_result.quarantined_clients,
-            len(live) - len(estimates),
-        )
-
-    def _epoch_attrition(self, epoch: EpochResult) -> float:
-        """Fraction of scheduled reports that produced no usable sample
-        (never arrived, arrived as a sample-free connection reset, or
-        read implausibly fast against a stale base)."""
-        scheduled = max(epoch.crowd_size, 1)
-        usable = sum(
-            1
-            for r in epoch.reports
-            if r.status is not Status.RESET
-            and r.normalized_s >= -self.config.threshold_s
-        )
-        return 1.0 - usable / scheduled
-
-    def _stale_bases(self, epoch: EpochResult) -> Optional[str]:
-        """Detect base measurements poisoned by a transient slowdown.
-
-        A report whose *loaded* response beat its client's unloaded
-        base by more than θ is physically implausible — the base was
-        measured during some transient inflation (latency storm, stall
-        window) that has since passed, and every sample it normalizes
-        will read spuriously clean, masking a real knee.  When a
-        nontrivial fraction of an epoch reads that way, the epoch is
-        invalid; the retry path re-measures the whole pool's bases
-        (a single stale reading is tolerated as measurement noise).
-        """
-        if not epoch.reports:
-            return None
-        stale = sum(
-            1
-            for r in epoch.reports
-            if r.normalized_s < -self.config.threshold_s
-        )
-        floor = max(2, math.ceil(STALE_BASE_FRACTION * len(epoch.reports)))
-        if stale < floor:
-            return None
-        return (
-            f"stale base measurements: {stale} of "
-            f"{len(epoch.reports)} reports came back faster loaded than "
-            "unloaded"
-        )
-
-    def _epoch_problem(self, epoch: EpochResult) -> Optional[str]:
-        """Why this epoch cannot be trusted (None: it can)."""
-        attrition = self._epoch_attrition(epoch)
-        if attrition > self.config.max_epoch_attrition:
-            return (
-                f"lost {attrition:.0%} of scheduled reports "
-                f"(limit {self.config.max_epoch_attrition:.0%})"
-            )
-        censor_floor = CENSORED_AGGREGATE_FRACTION * self.config.request_timeout_s
-        if epoch.degraded and epoch.aggregate_normalized_s > censor_floor:
-            return (
-                "degradation signal rests on killed requests (aggregate "
-                f"{epoch.aggregate_normalized_s:.1f}s vs the "
-                f"{self.config.request_timeout_s:.0f}s kill timer)"
-            )
-        return None
-
-    def _health_probe(
-        self,
-        stage: StagePlan,
-        pool: List[MFCClient],
-        stage_result: StageResult,
-        epoch: Optional[EpochResult] = None,
-    ) -> Generator:
-        """One unloaded request after a degraded epoch (paper's
-        non-intrusiveness rule): if the target is slow even with no
-        crowd, the degradation is not ours to probe further.
-
-        The probes go through the clients that *carried* the
-        degradation signal — the worst normalized samples of the epoch
-        — not arbitrary ones: under a partial-fleet disturbance (a
-        stall or latency storm hitting half the clients) an unaffected
-        bystander would report the site healthy while the signal
-        clients are ambiently slow, and the fake knee would be
-        accepted.  Conversely one probe is not allowed to overturn the
-        epoch on its own — a single unloaded request can hit transient
-        server noise — so "ambient" takes two independent sick reads
-        (the two worst carriers); any healthy probe accepts the epoch.
-        """
-        if not pool:
-            return False
-        by_id = {c.client_id: c for c in pool}
-        reports = sorted(
-            (r for r in (epoch.reports if epoch else []) if r.client_id in by_id),
-            key=lambda r: r.normalized_s,
-            reverse=True,
-        )
-        probers: List[MFCClient] = []
-        for report in reports:
-            client = by_id[report.client_id]
-            if client not in probers:
-                probers.append(client)
-            if len(probers) == 2:
-                break
-        if not probers:
-            probers = [pool[0]]
-        for client in probers:
-            status, normalized = yield from client.probe_unloaded(
-                stage.object_for(self._position[client.client_id]),
-                stage.method,
-                body_bytes=stage.body_bytes,
-                connections=stage.connections,
-            )
-            stage_result.total_requests += stage.connections
-            if status is Status.OK and normalized <= self.config.threshold_s:
-                return True
-        return False
 
     # -- fan-out groups ----------------------------------------------------------------
 
@@ -561,16 +284,14 @@ class Coordinator:
             for c in clients
         ]
 
-    def _delay_computation(
-        self, stage: StagePlan, live: List[MFCClient], skip: frozenset = frozenset()
-    ) -> Generator:
+    def _delay_computation(self, stage: StagePlan, live: List[MFCClient]) -> Generator:
         """Measure T_coord / T_target / base response times (§2.2.4).
 
-        *skip* (hardened re-liveness quarantine) names clients left out
-        of the sequential measurements — an unreachable client must not
-        stall the phase for a kill-timer interval per probe.  Object
-        assignment stays indexed by position in *live*, so skipping
-        never shifts anyone else's object.
+        The policy's quarantined clients sit out the sequential
+        measurements — an unreachable client must not stall the phase
+        for a kill-timer interval per probe.  Object assignment stays
+        indexed by position in *live*, so skipping never shifts anyone
+        else's object.
 
         Each group's representative takes one real T_target + base
         measurement; other cohort members get an RTT draw from their own
@@ -591,7 +312,8 @@ class Coordinator:
 
         # T_target + base response times: strictly sequential so the
         # measurements do not impact each other (§2.2.3)
-        eligible = [c for c in live if c.client_id not in skip]
+        quarantined = self.policy.quarantined
+        eligible = [c for c in live if c.client_id not in quarantined]
         for group in self._groups(eligible, live, stage):
             rep = group.rep
             rep_rtt = yield from rep.measure_target_rtt()
@@ -730,20 +452,7 @@ class Coordinator:
             reports=reports,
             missing_reports=scheduled_requests - len(reports),
         )
-        # connection resets carry no timing sample (the fault-injection
-        # RESET sentinel); fault-free runs never see one, so the filter
-        # is a byte-identical no-op there
-        samples = [r for r in reports if r.status is not Status.RESET]
-        if self.hardened:
-            # a loaded response that beat its own unloaded base by more
-            # than θ is physically implausible — its base was measured
-            # during a transient inflation, and folding it into the
-            # quantile drags the aggregate down and masks a real knee.
-            # Hardened mode treats such samples as carrying no usable
-            # timing information (they still count toward attrition).
-            samples = [
-                r for r in samples if r.normalized_s >= -self.config.threshold_s
-            ]
+        samples = self.policy.samples(reports)
         if samples:
             # one sort per epoch: every statistic computed over this
             # epoch's normalized times reads the same ordered sample

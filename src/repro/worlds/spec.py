@@ -157,10 +157,11 @@ class WorldSpec:
     background_rps: Optional[float] = None
     #: seed-deterministic fault plan (:mod:`repro.faults`); scenario MFC
     #: worlds only.  Also flips the coordinator into hardened mode
-    #: unless ``config.hardening`` says otherwise.
+    #: unless ``config.hardening`` says otherwise (see :attr:`hardened`).
     faults: Optional[FaultSpec] = None
-    #: per-world crowd-mode override: "exact" | "cohort" | None (follow
-    #: ``config.crowd_mode``)
+    #: crowd simulation mode: "cohort" collapses homogeneous clients into
+    #: weighted macro-flows (:mod:`repro.core.cohort`); "exact" or None
+    #: runs every crowd client as its own process and transfer
     crowd_mode: Optional[str] = None
     #: free-form annotation — cosmetic, never hashed
     notes: str = ""
@@ -174,6 +175,15 @@ class WorldSpec:
             # `--planner linear` equals the planner-less world it
             # byte-identically reproduces
             self.planner = None
+
+    @property
+    def hardened(self) -> bool:
+        """Whether the coordinator runs the hardened policy:
+        ``config.hardening`` when pinned, else exactly when the world
+        carries a fault plan."""
+        if self.config.hardening is not None:
+            return self.config.hardening
+        return self.faults is not None
 
     # -- identity -------------------------------------------------------------
 
@@ -341,16 +351,7 @@ class WorldSpec:
             )
             for client in clients:
                 client.fault_gate = injector
-        hardened = (
-            self.config.hardening
-            if self.config.hardening is not None
-            else self.faults is not None
-        )
-        effective_crowd_mode = (
-            self.crowd_mode
-            if self.crowd_mode is not None
-            else self.config.crowd_mode
-        )
+        cohort = self.crowd_mode == "cohort"
         coordinator = Coordinator(
             sim,
             clients,
@@ -360,14 +361,10 @@ class WorldSpec:
             rng=rngs.stream("coordinator"),
             use_naive_scheduling=self.use_naive_scheduling,
             planner=self.planner,
-            hardened=hardened,
-            crowd_mode=effective_crowd_mode,
-            network=topology.network if effective_crowd_mode == "cohort" else None,
-            cohort_rng=(
-                rngs.stream("cohort")
-                if effective_crowd_mode == "cohort"
-                else None
-            ),
+            hardened=self.hardened,
+            crowd_mode=self.crowd_mode or "exact",
+            network=topology.network if cohort else None,
+            cohort_rng=rngs.stream("cohort") if cohort else None,
         )
         background = BackgroundTraffic(
             sim,
@@ -526,7 +523,7 @@ class WorldSpec:
             rng=rngs.stream("coordinator"),
             use_naive_scheduling=self.use_naive_scheduling,
             planner=self.planner,
-            hardened=bool(self.config.hardening),
+            hardened=self.hardened,
         )
         stage = StagePlan(
             name=StageKind.BASE.value,

@@ -332,6 +332,18 @@ def test_job_cost_folds_crowd_mode_and_hardening():
         )
     )
     assert hardened == pytest.approx(exact * HARDENED_COST_FACTOR)
+    # a fault plan hardens the coordinator by default, so it pays the
+    # surcharge; pinning hardening off runs the unhardened coordinator
+    # over the same faults, so it must not
+    from repro.faults.spec import FAULT_PRESETS
+
+    faulted = replace(base, faults=FAULT_PRESETS["dropout"]())
+    assert estimate_job_cost(JobSpec.from_world("d", faulted)) == pytest.approx(
+        exact * HARDENED_COST_FACTOR
+    )
+    unhardened = replace(faulted, config=replace(base.config, hardening=False))
+    assert not unhardened.hardened
+    assert estimate_job_cost(JobSpec.from_world("e", unhardened)) == pytest.approx(exact)
 
 
 def test_indicator_jobs_cost_a_flat_handful():

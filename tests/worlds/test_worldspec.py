@@ -125,7 +125,7 @@ def test_document_missing_fields_decodes_to_defaults():
     )
     doc = json.loads(spec.to_json())
     assert doc["stages"] is None and doc["planner"] is None
-    assert doc["config"]["crowd_mode"] == "exact"
+    assert doc["config"]["hardening"] is None
     del doc["stages"], doc["planner"]
     decoded = codec.decode(doc)
     assert decoded.stages is None and decoded.planner is None
@@ -385,6 +385,18 @@ def test_decode_rejects_typoed_field_names():
     del doc["seed"]
     with pytest.raises(ValueError, match="unknown field.*sede"):
         codec.decode(doc)
+    # knobs that left MFCConfig (hardening constants, the config-level
+    # crowd mode) are typos too: an old document must not decode into
+    # a world that silently ignores them
+    for name, value in (
+        ("reliveness_every_epochs", 1),
+        ("stage_timeout_s", None),
+        ("crowd_mode", "exact"),
+    ):
+        doc = json.loads(WorldSpec(scenario=qtnp_server(), seed=7).to_json())
+        doc["config"][name] = value
+        with pytest.raises(ValueError, match=rf"unknown field\(s\) for MFCConfig: {name}"):
+            codec.decode(doc)
 
 
 def test_synthetic_world_rejects_fleet_bottleneck():
