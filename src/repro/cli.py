@@ -261,12 +261,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     perf = sub.add_parser(
         "perf",
-        help="benchmark the simulation substrate and compare to baseline",
+        help="time the kernel and allocator microbenchmarks against "
+             "the recorded baseline",
     )
     perf.add_argument("--quick", action="store_true",
                       help="small CI-smoke sizes (minutes -> seconds)")
     perf.add_argument("--out", default="benchmarks/results", metavar="DIR",
-                      help="directory for BENCH_kernel.json / BENCH_world.json "
+                      help="directory for BENCH_kernel.json "
                            "(default benchmarks/results)")
     perf.add_argument("--baseline", default=None, metavar="PATH",
                       help="baseline file to compare against "
@@ -274,9 +275,10 @@ def build_parser() -> argparse.ArgumentParser:
     perf.add_argument("--update-baseline", action="store_true",
                       help="record this run as the new baseline")
     perf.add_argument("--check", action="store_true",
-                      help="perf gate: exit nonzero when any bench "
-                           "regresses more than --max-regression vs "
-                           "the baseline (or the baseline is missing)")
+                      help="perf gate: exit nonzero when any bench's "
+                           "normalised seconds regress more than "
+                           "--max-regression vs the baseline (or the "
+                           "baseline is missing)")
     perf.add_argument("--max-regression", type=float, default=0.25,
                       metavar="FRAC",
                       help="allowed fractional slowdown per bench for "
@@ -285,14 +287,13 @@ def build_parser() -> argparse.ArgumentParser:
                       metavar="PREFIX",
                       help="restrict the --check timing gate to benches "
                            "whose key starts with PREFIX (repeatable; "
-                           "default: every comparable bench). "
-                           "Determinism fingerprints are always checked.")
+                           "default: every comparable bench)")
     perf.add_argument("--no-root-mirror", action="store_true",
-                      help="skip mirroring BENCH_kernel.json / "
-                           "BENCH_world.json to the repository root "
-                           "(the cross-PR perf trajectory record)")
+                      help="skip mirroring BENCH_kernel.json to the "
+                           "repository root (the cross-PR perf "
+                           "trajectory record)")
     perf.add_argument("--profile", default=None, metavar="KEY",
-                      help="cProfile one bench key (e.g. world.crowd_2000; "
+                      help="cProfile one bench key (e.g. kernel.cascade; "
                            "respects --quick key names) instead of running "
                            "the suites; writes the profile digest to "
                            "<out>/PROFILE_<key>.txt")
@@ -975,12 +976,10 @@ def _project_root_for(path: str) -> Optional[str]:
 def _cmd_perf_profile(args) -> int:
     """``repro perf --profile KEY``: cProfile one registered bench.
 
-    The bench runs once under the profiler (its record — timing and
-    fingerprint — is reported but not written to the BENCH payloads:
-    profiled wall times are not comparable to suite wall times).  The
-    digest is the top-N functions by cumulative time plus their
-    callers, which is the view that answers "where does an epoch's
-    wall clock go" without a second tool.
+    The bench runs once under the profiler (its timing is reported but
+    not written to the BENCH payloads: profiled wall times are not
+    comparable to suite wall times).  The digest is the top-N functions
+    by cumulative time plus their callers.
     """
     import cProfile
     import io
@@ -1008,8 +1007,7 @@ def _cmd_perf_profile(args) -> int:
     buf = io.StringIO()
     stats = pstats.Stats(profiler, stream=buf)
     stats.sort_stats("cumulative")
-    buf.write(f"bench {key}: seconds={record.get('seconds'):.4f} "
-              f"fingerprint={record.get('fingerprint')}\n\n")
+    buf.write(f"bench {key}: seconds={record['seconds']:.4f}\n\n")
     buf.write(f"top {args.profile_lines} by cumulative time\n")
     stats.print_stats(args.profile_lines)
     buf.write(f"\ncallers of the top {args.profile_lines}\n")
@@ -1039,36 +1037,24 @@ def cmd_perf(args) -> int:
         compare_to_baseline,
         find_regressions,
         load_bench_file,
-        run_campaign_suite,
         run_kernel_suite,
-        run_triage_suite,
-        run_world_suite,
         write_bench_file,
     )
     from repro.perf.baseline import render_comparison
 
     print("repro perf: measuring kernel + allocator ...", flush=True)
-    kernel = run_kernel_suite(quick=args.quick)
-    print("repro perf: measuring end-to-end world ...", flush=True)
-    world = run_world_suite(quick=args.quick)
-    print("repro perf: measuring campaign dispatch ...", flush=True)
-    world.update(run_campaign_suite(quick=args.quick))
-    print("repro perf: measuring two-phase triage ...", flush=True)
-    world.update(run_triage_suite(quick=args.quick))
-    benches = {**kernel, **world}
+    benches = run_kernel_suite(quick=args.quick)
 
-    write_bench_file(os.path.join(args.out, "BENCH_kernel.json"), kernel)
-    write_bench_file(os.path.join(args.out, "BENCH_world.json"), world)
+    write_bench_file(os.path.join(args.out, "BENCH_kernel.json"), benches)
     if not args.no_root_mirror and not args.quick:
-        # root-level copies record the cross-PR perf trajectory next to
-        # README/ROADMAP, where successive PRs are expected to commit
-        # them; the root is resolved from the --out path (not the cwd).
+        # a root-level copy records the cross-PR perf trajectory next
+        # to README/ROADMAP, where successive PRs are expected to commit
+        # it; the root is resolved from the --out path (not the cwd).
         # Quick smoke runs never mirror — they must not replace the
         # committed full-suite trajectory with .quick payloads.
         root = _project_root_for(os.path.abspath(args.out))
         if root is not None and root != os.path.abspath(args.out):
-            write_bench_file(os.path.join(root, "BENCH_kernel.json"), kernel)
-            write_bench_file(os.path.join(root, "BENCH_world.json"), world)
+            write_bench_file(os.path.join(root, "BENCH_kernel.json"), benches)
     baseline_path = (
         args.baseline
         if args.baseline is not None
@@ -1084,24 +1070,6 @@ def cmd_perf(args) -> int:
     baseline = load_bench_file(baseline_path)
     rows = compare_to_baseline(benches, baseline)
     print(render_comparison(rows))
-    drifted = [r["key"] for r in rows if r["fingerprint_match"] is False]
-    if drifted:
-        print(
-            "determinism drift vs baseline in: " + ", ".join(drifted),
-            file=sys.stderr,
-        )
-        return 1
-    checked = [r["key"] for r in rows if r["fingerprint_match"] is True]
-    if baseline is not None and not checked:
-        # fail closed: a baseline exists but no fingerprinted bench was
-        # comparable (params changed / bench renamed without
-        # --update-baseline), i.e. the determinism guard checked nothing
-        print(
-            "no fingerprinted bench matched a baseline entry; "
-            f"refresh {baseline_path} with --update-baseline",
-            file=sys.stderr,
-        )
-        return 1
     if args.check:
         if baseline is None:
             # a gate with nothing to gate against must fail loudly
@@ -1119,14 +1087,16 @@ def cmd_perf(args) -> int:
         if regressions:
             for reg in regressions:
                 print(
-                    f"perf regression: {reg['key']} {reg['slowdown']:.2f}x "
-                    f"baseline ({reg['seconds']:.4f}s vs "
-                    f"{reg['baseline_seconds']:.4f}s, allowed "
-                    f"{1.0 + args.max_regression:.2f}x)",
+                    f"perf regression: {reg['key']} {reg['ratio']:.2f}x "
+                    f"baseline ({reg['normalised_seconds']:.4f}s vs "
+                    f"{reg['baseline_normalised_seconds']:.4f}s normalised, "
+                    f"allowed {1.0 + args.max_regression:.2f}x)",
                     file=sys.stderr,
                 )
             return 1
-        compared = sum(1 for r in gated_rows if r["baseline_seconds"] is not None)
+        compared = sum(
+            1 for r in gated_rows if r["baseline_normalised_seconds"] is not None
+        )
         if compared == 0:
             # fail closed: a gate that compared nothing gates nothing
             # (typo'd --check-keys prefix, renamed benches, params drift)

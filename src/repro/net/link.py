@@ -261,7 +261,10 @@ class Network:
         """Begin moving *size_bytes* across *links*.
 
         Returns the :class:`Transfer`; wait on ``transfer.done`` for
-        completion (it fires with the transfer as its value).  A
+        completion.  It fires with no value: the transfer's own fields
+        (``finished_at``, ``aborted``) carry the outcome, and a value
+        pointing back at the transfer would leave every finished one in
+        a reference cycle only the cyclic collector frees.  A
         zero-byte transfer completes immediately.  The join itself is
         O(path): rate assignment happens once per simulated instant in
         the end-of-instant flush (immediately when the simulator is
@@ -275,7 +278,7 @@ class Network:
         transfer = Transfer(self, links, size_bytes, weight=int(weight))
         if size_bytes == 0:
             transfer.finished_at = self.sim.now
-            transfer.done.succeed(value=transfer)
+            transfer.done.succeed()
             return transfer
         self._join(transfer)
         self._mark_dirty()
@@ -313,7 +316,7 @@ class Network:
             transfers.append(transfer)
             if size_bytes == 0:
                 transfer.finished_at = self.sim.now
-                transfer.done.succeed(value=transfer)
+                transfer.done.succeed()
                 continue
             self._join(transfer)
             joined = True
@@ -465,7 +468,7 @@ class Network:
             transfer.remaining = 0.0
             self._detach(transfer)
             transfer.finished_at = now
-            transfer.done.succeed(value=transfer)
+            transfer.done.succeed()
 
     def _assign_max_min_rates(self) -> float:
         """Progressive filling restricted to the active-link set.

@@ -1,21 +1,18 @@
-"""Performance measurement for the simulation substrate.
+"""Kernel and allocator microbenchmarks.
 
-Every paper figure and the §5 study run through the same three hot
-layers — the event kernel (`sim/`), the fluid-network rate allocator
-(`net/`) and the server pipeline (`server/` + `core/`) — so this
-package owns the *measurement baseline* those layers are optimised
-against:
+End-to-end timing lives in the ``bench/`` workloads and the recorded
+result fingerprints in the test suite (``tests/golden/
+fingerprints.json``); this package times the two substrate layers no
+workload isolates — the event kernel (`sim/`) and the fluid-network
+rate allocator (`net/`):
 
-- :mod:`repro.perf.benches` — microbenchmarks for kernel event
-  throughput and allocator cost versus flow count, plus the end-to-end
-  200-client Large Object world benchmark;
+- :mod:`repro.perf.benches` — the microbenchmarks, each record carrying
+  a reference-loop slowdown reading;
 - :mod:`repro.perf.baseline` — ``BENCH_*.json`` reading/writing and
-  comparison against the recorded baseline, including the determinism
-  fingerprint that guards against behaviour drift.
+  comparison against the recorded baseline in normalised seconds.
 
 ``repro perf`` (see :mod:`repro.cli`) drives both and emits
-``BENCH_kernel.json`` / ``BENCH_world.json`` so every future PR has a
-trajectory to beat.
+``BENCH_kernel.json``.
 """
 
 from repro.perf.baseline import (
@@ -28,30 +25,20 @@ from repro.perf.baseline import (
 from repro.perf.benches import (
     bench_allocator,
     bench_allocator_sync_crowd,
-    bench_campaign,
     bench_kernel_cascade,
     bench_kernel_timers,
-    bench_world,
-    run_campaign_suite,
     run_kernel_suite,
-    run_triage_suite,
-    run_world_suite,
 )
 
 __all__ = [
     "BASELINE_FILENAME",
     "bench_allocator",
     "bench_allocator_sync_crowd",
-    "bench_campaign",
     "bench_kernel_cascade",
     "bench_kernel_timers",
-    "bench_world",
     "compare_to_baseline",
     "find_regressions",
     "load_bench_file",
-    "run_campaign_suite",
     "run_kernel_suite",
-    "run_triage_suite",
-    "run_world_suite",
     "write_bench_file",
 ]

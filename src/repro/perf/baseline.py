@@ -1,15 +1,16 @@
 """``BENCH_*.json`` files and baseline comparison.
 
 A bench file is ``{"schema": 1, "benches": {key: record}}`` where each
-record carries ``seconds``, bench-specific throughput fields, the
-``params`` it ran with and (for world benches) a determinism
-``fingerprint``.  The *baseline* file uses the same format; it is
-recorded once per optimisation cycle with ``repro perf
---update-baseline`` and committed, so ``repro perf`` on any later
-checkout reports speedup-vs-baseline and flags determinism drift.
+record carries ``seconds``, ``slowdown`` and ``normalised_seconds``
+(see :func:`repro.perf.benches._timed`), bench-specific throughput
+fields and the ``params`` it ran with.  The *baseline* file uses the
+same format; it is recorded with ``repro perf --update-baseline`` and
+committed, so ``repro perf`` on any later checkout reports
+speedup-vs-baseline in normalised seconds.
 
-Records are only comparable when their ``params`` match — a quick run
-is never compared against a full baseline entry.
+Records are only comparable when their ``params`` match and the
+baseline entry has normalised seconds — a quick run is never compared
+against a full baseline entry.
 """
 
 from __future__ import annotations
@@ -51,9 +52,10 @@ def compare_to_baseline(
 ) -> List[Dict]:
     """Per-bench comparison rows against a baseline payload.
 
-    Each row has ``key``, ``seconds``, ``baseline_seconds`` (None when
-    the baseline lacks a comparable entry), ``speedup`` and
-    ``fingerprint_match`` (None when either side has no fingerprint).
+    Each row has ``key``, ``seconds``, ``slowdown``,
+    ``normalised_seconds``, ``baseline_normalised_seconds`` (None when
+    the baseline lacks a comparable entry) and ``speedup``, the
+    baseline/current ratio of normalised seconds.
     """
     rows: List[Dict] = []
     for key in sorted(benches):
@@ -61,17 +63,20 @@ def compare_to_baseline(
         row: Dict = {
             "key": key,
             "seconds": record["seconds"],
-            "baseline_seconds": None,
+            "slowdown": record["slowdown"],
+            "normalised_seconds": record["normalised_seconds"],
+            "baseline_normalised_seconds": None,
             "speedup": None,
-            "fingerprint_match": None,
         }
         ref = (baseline or {}).get(key)
-        if ref is not None and ref.get("params") == record.get("params"):
-            row["baseline_seconds"] = ref["seconds"]
-            if record["seconds"] > 0:
-                row["speedup"] = ref["seconds"] / record["seconds"]
-            if "fingerprint" in record and "fingerprint" in ref:
-                row["fingerprint_match"] = record["fingerprint"] == ref["fingerprint"]
+        if (
+            ref is not None
+            and ref.get("params") == record.get("params")
+            and "normalised_seconds" in ref
+        ):
+            row["baseline_normalised_seconds"] = ref["normalised_seconds"]
+            if record["normalised_seconds"] > 0:
+                row["speedup"] = ref["normalised_seconds"] / record["normalised_seconds"]
         rows.append(row)
     return rows
 
@@ -81,52 +86,51 @@ def find_regressions(
 ) -> List[Dict]:
     """Comparison rows that regressed beyond the allowed fraction.
 
-    A bench regresses when ``seconds > baseline_seconds * (1 +
-    max_regression)``; rows without a comparable baseline entry are
-    skipped (new benches cannot regress).  Each returned row carries
-    ``key``, ``seconds``, ``baseline_seconds`` and ``slowdown`` (the
-    current/baseline ratio), worst first — this is what ``repro perf
-    --check`` turns into a nonzero exit code.
+    A bench regresses when its normalised seconds exceed the baseline's
+    by more than *max_regression*; rows without a comparable baseline
+    entry are skipped (new benches cannot regress).  Each returned row
+    carries ``key``, ``normalised_seconds``,
+    ``baseline_normalised_seconds`` and ``ratio`` (current/baseline),
+    worst first — this is what ``repro perf --check`` turns into a
+    nonzero exit code.
     """
     if max_regression < 0:
         raise ValueError("max_regression must be non-negative")
     regressions: List[Dict] = []
     for row in rows:
-        base = row["baseline_seconds"]
+        base = row["baseline_normalised_seconds"]
         if base is None or base <= 0:
             continue
-        slowdown = row["seconds"] / base
-        if slowdown > 1.0 + max_regression:
+        ratio = row["normalised_seconds"] / base
+        if ratio > 1.0 + max_regression:
             regressions.append(
                 {
                     "key": row["key"],
-                    "seconds": row["seconds"],
-                    "baseline_seconds": base,
-                    "slowdown": slowdown,
+                    "normalised_seconds": row["normalised_seconds"],
+                    "baseline_normalised_seconds": base,
+                    "ratio": ratio,
                 }
             )
-    regressions.sort(key=lambda r: r["slowdown"], reverse=True)
+    regressions.sort(key=lambda r: r["ratio"], reverse=True)
     return regressions
 
 
 def render_comparison(rows: List[Dict]) -> str:
-    """Monospace table of comparison rows for terminal output."""
+    """Monospace table of comparison rows for terminal output.
+
+    ``normalised`` and ``baseline`` are normalised seconds.
+    """
     lines = [
-        f"{'bench':<28} {'seconds':>10} {'baseline':>10} {'speedup':>8}  determinism",
-        "-" * 72,
+        f"{'bench':<28} {'seconds':>10} {'slowdown':>9} {'normalised':>11} "
+        f"{'baseline':>10} {'speedup':>8}",
+        "-" * 81,
     ]
     for row in rows:
-        base = (
-            f"{row['baseline_seconds']:.4f}"
-            if row["baseline_seconds"] is not None
-            else "-"
-        )
+        base = row["baseline_normalised_seconds"]
+        base_text = f"{base:.4f}" if base is not None else "-"
         speed = f"{row['speedup']:.2f}x" if row["speedup"] is not None else "-"
-        if row["fingerprint_match"] is None:
-            parity = "-"
-        else:
-            parity = "ok" if row["fingerprint_match"] else "DRIFT"
         lines.append(
-            f"{row['key']:<28} {row['seconds']:>10.4f} {base:>10} {speed:>8}  {parity}"
+            f"{row['key']:<28} {row['seconds']:>10.4f} {row['slowdown']:>9.2f} "
+            f"{row['normalised_seconds']:>11.4f} {base_text:>10} {speed:>8}"
         )
     return "\n".join(lines)

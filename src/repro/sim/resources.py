@@ -49,6 +49,15 @@ class Request(Event):
         self.resource = resource
         self.cancelled = False
 
+    @property
+    def value(self) -> "Request":
+        """The request itself, so ``yield req`` evaluates to the claim.
+
+        The grant fires with no stored value: storing the request in
+        itself would make every granted request a reference cycle.
+        """
+        return self
+
     def cancel(self) -> None:
         """Withdraw a queued request (no-op once granted)."""
         self.cancelled = True
@@ -218,7 +227,7 @@ class Resource:
 
     def _grant(self, req: Request) -> None:
         self._take()
-        req.succeed(value=req)
+        req.succeed()
 
     def _dispatch(self) -> None:
         while self._in_use < self.capacity:

@@ -9,7 +9,9 @@ changing a single record.
 
 import dataclasses
 import json
+import os
 
+import golden_worlds
 import pytest
 
 from repro.campaign.executor import (
@@ -364,3 +366,30 @@ def test_canonical_encoding_is_memoized_per_spec():
     assert world.__dict__["_canonical_memo"] is memo_doc
     # an equal-but-distinct spec hashes identically without the memo
     assert worlds_codec.stable_key(world_for_cost()) == key_first
+
+
+# -- request savings on the recorded populations ------------------------------
+#
+# Deterministic for fixed seeds, so pinned exactly: arm A is full MFC
+# with the default stage roster on every site, arm B the indicator
+# sweep plus targeted active probes (see golden_worlds.triage_survey).
+
+
+def test_triage_savings_counts_on_the_quick_population():
+    survey = golden_worlds.triage_survey(scale=0.05)
+    assert survey["sites"] == 24
+    assert (survey["requests_full"], survey["requests_triage"]) == (19_656, 4_443)
+    assert (survey["caught"], survey["missed"], survey["extra"]) == (25, 2, 0)
+
+
+@pytest.mark.skipif(
+    not os.environ.get("REPRO_PARITY_FULL"),
+    reason="the 200-site survey only runs with REPRO_PARITY_FULL=1",
+)
+def test_triage_savings_counts_on_the_full_population():
+    survey = golden_worlds.triage_survey(scale=0.41)
+    assert survey["sites"] == 200
+    assert (survey["requests_full"], survey["requests_triage"]) == (165_377, 31_241)
+    assert (survey["caught"], survey["missed"], survey["extra"]) == (183, 30, 9)
+    # the acceptance bar: at least 5x fewer requests than full MFC
+    assert survey["requests_full"] / survey["requests_triage"] >= 5.0

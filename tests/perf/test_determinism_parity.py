@@ -11,24 +11,25 @@ frozen references exist, one per refactored layer:
   (single ``(when, eid, obj)`` heap).
 
 This is not only a refactor-safety check — the campaign result caches
-committed under ``benchmarks/results/cache/`` are keyed by world
-parameters, not by code version, and the world fingerprints recorded
-in ``BENCH_world.json`` are the determinism baseline ``repro perf``
-reports drift against — so any behaviour change would silently
-invalidate both.
+under ``benchmarks/results/cache/`` are keyed by world parameters, not
+by code version, so any behaviour change would silently invalidate
+them.
 
 Each parity test swaps one frozen layer into the world assembly point
 and compares full-detail encodings (every epoch, every client report,
 every float) across a matrix of scenarios × seeds.  The fingerprint
-tests re-run the recorded bench worlds and require byte-identical
-hashes; the cheap acceptance world runs in tier-1, the crowd-scale
-ones under ``REPRO_PARITY_FULL=1`` (the CI kernel-parity job).
+replays rebuild every world and campaign recorded in
+``tests/golden/fingerprints.json`` (see :mod:`golden_worlds`) and
+require byte-identical hashes; the cheap shapes run in tier-1, the
+crowd-scale and full-population ones under ``REPRO_PARITY_FULL=1``
+(the CI kernel-parity job).
 """
 
 import hashlib
 import json
 import os
 
+import golden_worlds
 import pytest
 
 import repro.net.topology as topology_module
@@ -179,67 +180,69 @@ def test_wheel_kernel_matches_seed_kernel(
     assert wheel == reference
 
 
-# -- recorded world fingerprints must stay byte-stable ------------------------
+# -- recorded fingerprints must stay byte-stable ------------------------------
 
-_WORLD_BENCH = os.path.join(os.path.dirname(__file__), "..", "..", "BENCH_world.json")
+FULL_ONLY = pytest.mark.skipif(
+    not os.environ.get("REPRO_PARITY_FULL"),
+    reason="crowd-scale and full-population replays only run with REPRO_PARITY_FULL=1",
+)
+
+#: every key of tests/golden/fingerprints.json but the acceptance
+#: world (it keeps its own test) → the golden input that reproduces
+#: it; the cheap shapes run in tier-1, the rest under
+#: REPRO_PARITY_FULL=1 (the CI kernel-parity job)
+REPLAYS = [
+    ("world.large_object_60", golden_worlds.large_object,
+     dict(n_clients=60, max_crowd=40, crowd_step=10), ()),
+    ("world.large_object_500", golden_worlds.large_object,
+     dict(n_clients=500, max_crowd=400, crowd_step=20), FULL_ONLY),
+    ("world.large_object_1000", golden_worlds.large_object,
+     dict(n_clients=1000, max_crowd=600, crowd_step=30), FULL_ONLY),
+    ("world.bisect_ramp_60", golden_worlds.bisect_ramp,
+     dict(n_clients=60, max_crowd=60, crowd_step=5, access_mbps=500.0), ()),
+    ("world.bisect_ramp", golden_worlds.bisect_ramp,
+     dict(n_clients=200, max_crowd=200, crowd_step=5), FULL_ONLY),
+    ("world.crowd_500", golden_worlds.crowd_sweep,
+     dict(n_clients=500, max_crowd=500, crowd_step=50), ()),
+    ("world.crowd_2000", golden_worlds.crowd_sweep,
+     dict(n_clients=2000, max_crowd=2000, crowd_step=100), FULL_ONLY),
+    ("world.crowd_5000", golden_worlds.crowd_sweep,
+     dict(n_clients=5000, max_crowd=5000, crowd_step=250, exact_arm=False),
+     FULL_ONLY),
+    ("campaign.worlds_per_s.quick", golden_worlds.micro_campaign,
+     dict(n_worlds=300), ()),
+    ("campaign.worlds_per_s", golden_worlds.micro_campaign,
+     dict(n_worlds=2000), FULL_ONLY),
+    ("campaign.cohort_worlds_per_s.quick", golden_worlds.cohort_campaign,
+     dict(n_worlds=4, n_clients=200, max_crowd=120, crowd_step=20), ()),
+    ("campaign.cohort_worlds_per_s", golden_worlds.cohort_campaign,
+     dict(n_worlds=8, n_clients=500, max_crowd=400, crowd_step=20), FULL_ONLY),
+    ("triage.request_savings.quick", golden_worlds.triage_survey,
+     dict(scale=0.05), ()),
+    ("triage.request_savings", golden_worlds.triage_survey,
+     dict(scale=0.41), FULL_ONLY),
+]
 
 
-def _recorded_fingerprint(key: str) -> str:
-    with open(_WORLD_BENCH) as fh:
-        return json.load(fh)["benches"][key]["fingerprint"]
+def test_every_recorded_fingerprint_is_replayed():
+    replayed = [key for key, *_ in REPLAYS] + ["world.large_object_200"]
+    with open(golden_worlds.GOLDEN_FINGERPRINTS) as fh:
+        assert sorted(json.load(fh)) == sorted(replayed)
 
 
 def test_acceptance_world_fingerprint_is_byte_stable():
-    """The committed ``world.large_object_200`` fingerprint must
-    reproduce exactly on the current kernel."""
-    from repro.perf.benches import bench_world
-
-    record = bench_world(n_clients=200, max_crowd=200, crowd_step=10, repeats=1)
-    assert record["fingerprint"] == _recorded_fingerprint("world.large_object_200")
+    """The 200-client Large Object world, the historical acceptance
+    benchmark, must reproduce its recorded fingerprint exactly."""
+    got = golden_worlds.large_object(n_clients=200, max_crowd=200, crowd_step=10)
+    assert got == golden_worlds.recorded("world.large_object_200")
 
 
-@pytest.mark.skipif(
-    not os.environ.get("REPRO_PARITY_FULL"),
-    reason="crowd-scale fingerprint replay only runs with REPRO_PARITY_FULL=1",
-)
 @pytest.mark.parametrize(
-    "key,kwargs",
-    [
-        ("world.large_object_500", dict(n_clients=500, max_crowd=400, crowd_step=20)),
-        ("world.large_object_1000", dict(n_clients=1000, max_crowd=600, crowd_step=30)),
-    ],
+    "key,replay,kwargs",
+    [pytest.param(key, fn, kwargs, id=key, marks=marks)
+     for key, fn, kwargs, marks in REPLAYS],
 )
-def test_crowd_scale_world_fingerprints_are_byte_stable(key, kwargs):
-    from repro.perf.benches import bench_world
-
-    record = bench_world(repeats=1, **kwargs)
-    assert record["fingerprint"] == _recorded_fingerprint(key)
-
-
-@pytest.mark.skipif(
-    not os.environ.get("REPRO_PARITY_FULL"),
-    reason="crowd-scale fingerprint replay only runs with REPRO_PARITY_FULL=1",
-)
-def test_crowd_2000_fingerprints_are_byte_stable():
-    """Both arms of ``world.crowd_2000``: the cohort fingerprint and
-    the exact per-client fan-out's ``exact_fingerprint``."""
-    from repro.perf.benches import bench_crowd
-
-    record = bench_crowd(n_clients=2000, max_crowd=2000, crowd_step=100, repeats=1)
-    with open(_WORLD_BENCH) as fh:
-        recorded = json.load(fh)["benches"]["world.crowd_2000"]
-    assert record["fingerprint"] == recorded["fingerprint"]
-    assert record["exact_fingerprint"] == recorded["exact_fingerprint"]
-
-
-@pytest.mark.skipif(
-    not os.environ.get("REPRO_PARITY_FULL"),
-    reason="crowd-scale fingerprint replay only runs with REPRO_PARITY_FULL=1",
-)
-def test_bisect_ramp_fingerprint_is_byte_stable():
-    from repro.perf.benches import bench_bisect_ramp
-
-    record = bench_bisect_ramp(
-        n_clients=200, max_crowd=200, crowd_step=5, repeats=1
-    )
-    assert record["fingerprint"] == _recorded_fingerprint("world.bisect_ramp")
+def test_recorded_fingerprint_replays(key, replay, kwargs):
+    want = golden_worlds.recorded(key)
+    got = replay(**kwargs)
+    assert {field: got[field] for field in want} == want

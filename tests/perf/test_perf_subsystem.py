@@ -1,6 +1,7 @@
 """Unit tests for the perf benches, baseline machinery and perf gate."""
 
 import json
+import types
 
 import pytest
 
@@ -21,6 +22,8 @@ def test_kernel_benches_report_throughput():
     rec = bench_kernel_timers(n_events=2_000, repeats=1)
     assert rec["events"] == 2_000
     assert rec["seconds"] > 0
+    assert rec["slowdown"] > 0
+    assert rec["normalised_seconds"] > 0
     assert rec["events_per_s"] == pytest.approx(2_000 / rec["seconds"])
     cascade = bench_kernel_cascade(n_events=2_000, repeats=1)
     assert cascade["seconds"] > 0
@@ -45,44 +48,31 @@ def test_sync_crowd_bench_coalesces_at_least_5x():
     assert rec["coalescing_factor"] >= 5.0
 
 
-def test_campaign_bench_reports_all_three_arms():
-    from repro.perf import bench_campaign
-
-    rec = bench_campaign(n_worlds=24, jobs=2, per_job_worlds=12, repeats=1)
-    assert rec["worlds"] == 24
-    assert rec["per_job_worlds"] == 12
-    assert rec["worlds_per_s"] == pytest.approx(24 / rec["seconds"])
-    assert rec["seq_seconds"] > 0
-    assert rec["dispatch_speedup"] > 0
-    assert rec["overhead_speedup"] >= 0
-    assert rec["overhead_us_batched"] > 0  # clamped at 1us/world
-    assert rec["fingerprint"].startswith("sha256:")
-    assert rec["params"]["n_worlds"] == 24
-
-
-def test_campaign_bench_fingerprint_is_deterministic():
-    from repro.perf import bench_campaign
-
-    first = bench_campaign(n_worlds=10, jobs=2, per_job_worlds=2, repeats=1)
-    second = bench_campaign(n_worlds=10, jobs=2, per_job_worlds=2, repeats=1)
-    assert first["fingerprint"] == second["fingerprint"]
+def _rec(seconds, slowdown=1.0, params=None):
+    """A bench record measured at *slowdown* (median-of-one trial)."""
+    return {
+        "seconds": seconds,
+        "slowdown": slowdown,
+        "normalised_seconds": seconds / slowdown,
+        "params": params or {},
+    }
 
 
 def test_find_regressions_flags_only_threshold_breaches():
     rows = compare_to_baseline(
         {
-            "slow": {"seconds": 2.0, "params": {}},
-            "ok": {"seconds": 1.1, "params": {}},
-            "fresh": {"seconds": 9.9, "params": {}},  # no baseline entry
+            "slow": _rec(2.0),
+            "ok": _rec(1.1),
+            "fresh": _rec(9.9),  # no baseline entry
         },
         {
-            "slow": {"seconds": 1.0, "params": {}},
-            "ok": {"seconds": 1.0, "params": {}},
+            "slow": _rec(1.0),
+            "ok": _rec(1.0),
         },
     )
     regs = find_regressions(rows, max_regression=0.25)
     assert [r["key"] for r in regs] == ["slow"]
-    assert regs[0]["slowdown"] == pytest.approx(2.0)
+    assert regs[0]["ratio"] == pytest.approx(2.0)
     # a generous threshold clears everything
     assert find_regressions(rows, max_regression=2.0) == []
     with pytest.raises(ValueError):
@@ -106,66 +96,97 @@ def test_bench_file_rejects_unknown_schema(tmp_path):
 
 def test_compare_matches_only_identical_params():
     current = {
-        "a": {"seconds": 1.0, "params": {"n": 10}},
-        "b": {"seconds": 2.0, "params": {"n": 10}},
+        "a": _rec(1.0, params={"n": 10}),
+        "b": _rec(2.0, params={"n": 10}),
     }
     baseline = {
-        "a": {"seconds": 3.0, "params": {"n": 10}},
-        "b": {"seconds": 9.0, "params": {"n": 20}},  # incomparable
+        "a": _rec(3.0, params={"n": 10}),
+        "b": _rec(9.0, params={"n": 20}),  # incomparable
     }
     rows = {r["key"]: r for r in compare_to_baseline(current, baseline)}
     assert rows["a"]["speedup"] == pytest.approx(3.0)
     assert rows["b"]["speedup"] is None
-    assert rows["b"]["baseline_seconds"] is None
+    assert rows["b"]["baseline_normalised_seconds"] is None
 
 
-def test_compare_flags_fingerprint_drift():
-    current = {
-        "w": {"seconds": 1.0, "params": {}, "fingerprint": "sha256:aa"},
-    }
-    same = {"w": {"seconds": 2.0, "params": {}, "fingerprint": "sha256:aa"}}
-    drift = {"w": {"seconds": 2.0, "params": {}, "fingerprint": "sha256:bb"}}
-    assert compare_to_baseline(current, same)[0]["fingerprint_match"] is True
-    assert compare_to_baseline(current, drift)[0]["fingerprint_match"] is False
-    assert compare_to_baseline(current, None)[0]["fingerprint_match"] is None
-
-
-def test_render_comparison_marks_drift():
+def test_compare_needs_normalised_baseline_seconds():
+    """A baseline entry without normalised seconds is incomparable."""
     rows = compare_to_baseline(
-        {"w": {"seconds": 1.0, "params": {}, "fingerprint": "sha256:aa"}},
-        {"w": {"seconds": 2.0, "params": {}, "fingerprint": "sha256:bb"}},
+        {"a": _rec(1.0)}, {"a": {"seconds": 3.0, "params": {}}}
     )
-    table = render_comparison(rows)
-    assert "DRIFT" in table
-    assert "2.00x" in table
+    assert rows[0]["baseline_normalised_seconds"] is None
+    assert find_regressions(rows) == []
 
 
-def _canned_suites(monkeypatch, kernel_seconds=1.0, world_seconds=1.0):
-    """Patch the bench suites so CLI gate tests run in microseconds."""
+def test_regressions_compare_normalised_seconds():
+    """Twice the seconds on a machine twice as slow is no regression;
+    the same seconds on a machine twice as fast is one."""
+    baseline = {"k": _rec(1.0)}
+    slow_machine = compare_to_baseline({"k": _rec(2.0, slowdown=2.0)}, baseline)
+    assert slow_machine[0]["speedup"] == pytest.approx(1.0)
+    assert find_regressions(slow_machine) == []
+    fast_machine = compare_to_baseline({"k": _rec(1.0, slowdown=0.5)}, baseline)
+    regs = find_regressions(fast_machine)
+    assert [r["key"] for r in regs] == ["k"]
+    assert regs[0]["ratio"] == pytest.approx(2.0)
+
+
+def test_normalised_seconds_pair_each_trial_with_its_reading(monkeypatch):
+    """A trial is divided by the reading taken just before it, and the
+    record keeps the median of those quotients."""
+    import repro.perf.benches as benches
+
+    readings = iter([1.0, 3.0, 2.0])  # in REFERENCE_LOOP_S units
+    monkeypatch.setattr(
+        benches, "reference_loop",
+        lambda: next(readings) * benches.REFERENCE_LOOP_S,
+    )
+    clock = iter([0.0, 1.0, 10.0, 13.0, 20.0, 22.0])
+    monkeypatch.setattr(
+        benches, "time", types.SimpleNamespace(perf_counter=lambda: next(clock))
+    )
+    timing = benches._timed(3, lambda: None)
+    # trials of 1, 3 and 2 s at slowdowns 1, 3 and 2: all 1 s normalised
+    assert timing == {
+        "seconds": 1.0,
+        "slowdown": 2.0,
+        "normalised_seconds": pytest.approx(1.0),
+    }
+
+
+def test_render_comparison_shows_normalised_speedup():
+    rows = compare_to_baseline({"k": _rec(1.0, slowdown=2.0)}, {"k": _rec(1.0)})
+    row = render_comparison(rows).splitlines()[-1]
+    assert row.split() == ["k", "1.0000", "2.00", "0.5000", "1.0000", "2.00x"]
+
+
+def _canned_suites(monkeypatch):
+    """Patch the bench suite so CLI gate tests run in microseconds."""
     import repro.perf as perf_pkg
 
-    kernel = {
-        "kernel.timers.quick": {"seconds": kernel_seconds, "params": {"n": 1}},
-        "allocator.flows_10.quick": {"seconds": kernel_seconds, "params": {"n": 2}},
+    benches = {
+        "kernel.timers.quick": _rec(1.0, params={"n": 1}),
+        "allocator.flows_10.quick": _rec(1.0, params={"n": 2}),
     }
-    world = {
-        "world.tiny": {
-            "seconds": world_seconds,
-            "params": {"n": 3},
-            "fingerprint": "sha256:feed",
-        },
+    monkeypatch.setattr(perf_pkg, "run_kernel_suite", lambda quick=False: benches)
+    return benches
+
+
+def _doctor(benches, scale, prefix=""):
+    """*benches* with the normalised seconds of keys under *prefix*
+    scaled by *scale*."""
+    return {
+        key: {
+            **rec,
+            "normalised_seconds": rec["normalised_seconds"]
+            * (scale if key.startswith(prefix) else 1.0),
+        }
+        for key, rec in benches.items()
     }
-    monkeypatch.setattr(perf_pkg, "run_kernel_suite", lambda quick=False: kernel)
-    monkeypatch.setattr(perf_pkg, "run_world_suite", lambda quick=False: world)
-    return {**kernel, **world}
 
 
 def _write_baseline(path, benches, scale=1.0):
-    doctored = {
-        key: {**rec, "seconds": rec["seconds"] * scale}
-        for key, rec in benches.items()
-    }
-    write_bench_file(str(path), doctored)
+    write_bench_file(str(path), _doctor(benches, scale))
 
 
 def test_perf_check_exits_nonzero_on_doctored_regressed_baseline(
@@ -177,7 +198,7 @@ def test_perf_check_exits_nonzero_on_doctored_regressed_baseline(
 
     benches = _canned_suites(monkeypatch)
     baseline = tmp_path / "BENCH_baseline.json"
-    # doctor the baseline to half the current wall time → 2x "regression"
+    # doctor the baseline to half the current time → 2x "regression"
     _write_baseline(baseline, benches, scale=0.5)
     code = main(
         [
@@ -225,27 +246,23 @@ def test_perf_check_respects_max_regression_flag(monkeypatch, tmp_path):
 
 
 def test_perf_check_keys_scopes_the_timing_gate(monkeypatch, tmp_path):
-    """--check-keys gates only matching benches: a world-bench
-    'regression' (cross-machine wall-clock noise) passes a gate scoped
-    to kernel./allocator., and fails an unscoped one."""
+    """--check-keys gates only matching benches: an allocator-bench
+    'regression' passes a gate scoped to kernel., and fails an
+    unscoped one."""
     from repro.cli import main
 
     benches = _canned_suites(monkeypatch)
     baseline = tmp_path / "BENCH_baseline.json"
-    # doctor only the world bench into a regression
-    doctored = {
-        key: {**rec, "seconds": rec["seconds"] * (0.1 if key.startswith("world.") else 1.0)}
-        for key, rec in benches.items()
-    }
-    write_bench_file(str(baseline), doctored)
+    # doctor only the allocator bench into a regression
+    write_bench_file(str(baseline), _doctor(benches, 0.1, prefix="allocator."))
     scoped = [
         "perf", "--quick", "--check", "--no-root-mirror",
-        "--check-keys", "kernel.", "--check-keys", "allocator.",
+        "--check-keys", "kernel.",
         "--out", str(tmp_path / "results"),
         "--baseline", str(baseline),
     ]
     assert main(scoped) == 0
-    unscoped = [a for a in scoped if a not in ("--check-keys", "kernel.", "allocator.")]
+    unscoped = [a for a in scoped if a not in ("--check-keys", "kernel.")]
     assert main(unscoped) == 1
 
 
@@ -264,8 +281,9 @@ def test_perf_check_fails_without_baseline(monkeypatch, tmp_path):
 
 
 def test_perf_mirrors_bench_files_to_project_root(monkeypatch, tmp_path):
-    """The cross-PR trajectory record: root-level BENCH_* copies land
-    in the project root resolved from --out, regardless of the cwd."""
+    """The cross-PR trajectory record: a root-level BENCH_kernel.json
+    copy lands in the project root resolved from --out, regardless of
+    the cwd."""
     import os
 
     from repro.cli import main
@@ -281,12 +299,9 @@ def test_perf_mirrors_bench_files_to_project_root(monkeypatch, tmp_path):
     code = main(["perf", "--out", str(out)])
     assert code == 0
     assert load_bench_file(str(out / "BENCH_kernel.json"))
-    # the mirrored root copies exist and match the --out payloads
+    # the mirrored root copy exists and matches the --out payload
     assert load_bench_file(str(repo / "BENCH_kernel.json")) == load_bench_file(
         str(out / "BENCH_kernel.json")
-    )
-    assert load_bench_file(str(repo / "BENCH_world.json")) == load_bench_file(
-        str(out / "BENCH_world.json")
     )
     assert not os.path.exists(elsewhere / "BENCH_kernel.json")
     assert not os.path.exists(repo / "BENCH_baseline.json")
@@ -341,14 +356,18 @@ def test_perf_check_fails_when_nothing_was_comparable(monkeypatch, tmp_path):
     assert code == 1
 
 
-def test_committed_baseline_loads_and_has_acceptance_entry():
+def test_committed_baseline_rows_carry_normalised_seconds():
     import os
+
+    from repro.perf.benches import bench_factories
 
     repo_root = os.path.dirname(os.path.dirname(os.path.dirname(__file__)))
     baseline = load_bench_file(
         os.path.join(repo_root, "benchmarks", "results", "BENCH_baseline.json")
     )
     assert baseline is not None
-    world = baseline["world.large_object_200"]
-    assert world["params"]["n_clients"] == 200
-    assert world["fingerprint"].startswith("sha256:")
+    # exactly the registered benches, full and quick, each comparable
+    assert sorted(baseline) == sorted({**bench_factories(), **bench_factories(quick=True)})
+    for record in baseline.values():
+        assert record["slowdown"] > 0
+        assert record["normalised_seconds"] > 0
