@@ -52,9 +52,6 @@ from repro.workload.fleet import FleetSpec
 from repro.worlds import FLEET_PRESETS, SCENARIO_PRESETS, SYNTHETIC_MODELS, WorldSpec
 from repro.worlds import codec as world_codec
 
-#: historical alias — the preset registry lives in the world layer now
-SCENARIOS = SCENARIO_PRESETS
-
 POPULATIONS = ("quantcast", "startups", "phishing")
 
 
@@ -101,7 +98,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
 
     run = sub.add_parser("run", help="run an MFC experiment against a scenario")
-    run.add_argument("scenario", nargs="?", choices=sorted(SCENARIOS),
+    run.add_argument("scenario", nargs="?", choices=sorted(SCENARIO_PRESETS),
                      help="preset scenario (omit when using --spec)")
     run.add_argument("--spec", default=None, metavar="PATH",
                      help="run a declarative WorldSpec JSON document "
@@ -127,7 +124,7 @@ def build_parser() -> argparse.ArgumentParser:
         "dump",
         help="export a preset scenario as a WorldSpec JSON document",
     )
-    dump.add_argument("scenario", choices=sorted(SCENARIOS))
+    dump.add_argument("scenario", choices=sorted(SCENARIO_PRESETS))
     _add_world_arguments(dump)
     dump.add_argument("--out", default=None, metavar="PATH",
                       help="write the document here (default: stdout)")
@@ -200,7 +197,7 @@ def build_parser() -> argparse.ArgumentParser:
         parents=[_SEED_FLAG, _CROWD_MODE_FLAG],
         help="triage one scenario: indicator sweep + classifier verdict",
     )
-    triage.add_argument("scenario", choices=sorted(SCENARIOS))
+    triage.add_argument("scenario", choices=sorted(SCENARIO_PRESETS))
     triage.add_argument("--threshold-ms", type=float, default=100.0,
                         help="θ degradation threshold (default 100)")
     triage.add_argument("--max-crowd", type=int, default=55,
@@ -230,7 +227,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="CI-smoke slice: 2 scenarios x 3 fault "
                             "families instead of the full registry grid")
     chaos.add_argument("--scenario", action="append", default=None,
-                       choices=sorted(SCENARIOS),
+                       choices=sorted(SCENARIO_PRESETS),
                        help="restrict to a scenario (repeatable; "
                             "default: --quick slice or every preset)")
     chaos.add_argument("--fault", action="append", default=None,
@@ -252,7 +249,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="CI-smoke slice: 3 structurally different "
                             "scenarios instead of the full registry")
     equiv.add_argument("--scenario", action="append", default=None,
-                       choices=sorted(SCENARIOS),
+                       choices=sorted(SCENARIO_PRESETS),
                        help="restrict to a scenario (repeatable; "
                             "default: --quick slice or every preset)")
     equiv.add_argument("--json", action="store_true",
@@ -404,8 +401,8 @@ def cmd_list(args) -> int:
     if getattr(args, "json", False):
         print(json.dumps(_inventory(), indent=2, sort_keys=True))
         return 0
-    for name in sorted(SCENARIOS):
-        scenario = SCENARIOS[name]()
+    for name in sorted(SCENARIO_PRESETS):
+        scenario = SCENARIO_PRESETS[name]()
         print(f"{name:<12} {_describe_scenario(scenario)}")
     return 0
 
@@ -440,8 +437,8 @@ def _inventory() -> dict:
     from repro.core.stages import standard_stages
 
     scenarios = {}
-    for name in sorted(SCENARIOS):
-        scenario = SCENARIOS[name]()
+    for name in sorted(SCENARIO_PRESETS):
+        scenario = SCENARIO_PRESETS[name]()
         spec = scenario.server_spec
         scenarios[name] = {
             "server": spec.name,
@@ -549,7 +546,7 @@ def cmd_run(args) -> int:
                   file=sys.stderr)
             return 2
         return _report_result(runner.run(), args.quiet)
-    world = _world_from_args(args, SCENARIOS[args.scenario]())
+    world = _world_from_args(args, SCENARIO_PRESETS[args.scenario]())
     if args.jobs is not None:
         return _run_stages_campaign(args, world)
     return _report_result(world.build().run(), args.quiet)
@@ -557,7 +554,7 @@ def cmd_run(args) -> int:
 
 def cmd_spec(args) -> int:
     if args.spec_command == "dump":
-        world = _world_from_args(args, SCENARIOS[args.scenario]())
+        world = _world_from_args(args, SCENARIO_PRESETS[args.scenario]())
         text = world.to_json()
         if args.out is not None:
             with open(args.out, "w", encoding="utf-8") as fh:
@@ -834,7 +831,7 @@ def cmd_triage(args) -> int:
     from repro.campaign.spec import JobSpec
     from repro.core.inference import classify_indicator
 
-    scenario = SCENARIOS[args.scenario]()
+    scenario = SCENARIO_PRESETS[args.scenario]()
     config = MFCConfig(
         threshold_s=args.threshold_ms / 1000.0,
         max_crowd=args.max_crowd,

@@ -60,6 +60,27 @@ from repro.sim.kernel import Simulator
 from repro.sim.process import Process
 
 
+class Mailbox:
+    """Where clients post their epoch reports; the coordinator collects.
+
+    Clients hold only :meth:`post`, and the mailbox holds nothing but
+    reports, so no client refers back to the coordinator.
+    """
+
+    __slots__ = ("_reports",)
+
+    def __init__(self) -> None:
+        self._reports: Dict[Tuple[str, int], List[ClientReport]] = {}
+
+    def post(self, payload: Tuple[Tuple[str, int], ClientReport]) -> None:
+        epoch_key, report = payload
+        self._reports.setdefault(epoch_key, []).append(report)
+
+    def collect(self, epoch_key: Tuple[str, int]) -> List[ClientReport]:
+        """Take the reports that arrived for *epoch_key*."""
+        return self._reports.pop(epoch_key, [])
+
+
 class Coordinator:
     """Single coordinator driving a fleet of MFC clients."""
 
@@ -85,7 +106,7 @@ class Coordinator:
         self.config = config
         #: live-target defenses; the null policy (the default) keeps the
         #: run byte-identical to the unhardened seed
-        self.policy = (Hardened if hardened else HardeningPolicy)(self)
+        self.policy = (Hardened if hardened else HardeningPolicy)(config)
         self.target_name = target_name
         #: epoch-progression strategy (default: the paper's linear ramp)
         self.planner = planner if planner is not None else PlannerSpec()
@@ -109,25 +130,19 @@ class Coordinator:
         #: cohort key → dedicated macro-flow access link, reused across
         #: epochs with per-epoch capacity = weight × member access bps
         self._cohort_pipes: Dict[Tuple, object] = {}
-        self._mailbox: Dict[Tuple[str, int], List[ClientReport]] = {}
+        self._mailbox = Mailbox()
         self._epoch_seq = 0
         #: client id → position in the registration-time live list
         #: (object assignment is positional)
         self._position: Dict[str, int] = {}
         for client in self.clients:
-            client.report_sink = self._deliver_report
+            client.report_sink = self._mailbox.post
 
     # -- public API -----------------------------------------------------------
 
     def run(self, stages: Sequence[StagePlan]) -> Process:
         """Run the full experiment; the process returns an MFCResult."""
         return self.sim.process(self._experiment(list(stages)))
-
-    # -- report plumbing ----------------------------------------------------------
-
-    def _deliver_report(self, payload: Tuple[Tuple[str, int], ClientReport]) -> None:
-        epoch_key, report = payload
-        self._mailbox.setdefault(epoch_key, []).append(report)
 
     # -- experiment ------------------------------------------------------------------
 
@@ -195,7 +210,7 @@ class Coordinator:
         everything already observed)."""
         policy = self.policy
         m = self.config.requests_per_client
-        yield from policy.start_stage(stage, live, stage_result)
+        yield from policy.start_stage(self, stage, live, stage_result)
         estimates = yield from self._delay_computation(stage, live)
         # base measurements: one command per client, each issuing the
         # stage's full connection count against the server
@@ -229,7 +244,7 @@ class Coordinator:
                 # crowd counts synchronized commands; churn stages issue
                 # `connections` sequential server requests per command
                 stage_result.total_requests += crowd * stage.connections
-                admission = yield from policy.admit(crowd, pool, epoch)
+                admission = yield from policy.admit(self, crowd, pool, epoch)
                 if admission.verdict is Verdict.ABORT:
                     stage_result.reason = admission.reason
                     return
@@ -238,7 +253,7 @@ class Coordinator:
                 # the retry re-checked liveness and may have re-measured
                 pool = self._pool(live, estimates)
             planner.record(epoch)
-            yield from policy.accepted()
+            yield from policy.accepted(self)
 
         stage_result.outcome = planner.outcome or StageOutcome.NO_STOP
         stage_result.stopping_crowd_size = planner.stopping_crowd_size
@@ -422,7 +437,7 @@ class Coordinator:
         )
         yield max(drain_until - self.sim.now, 0.0)
 
-        reports = self._mailbox.pop(epoch_key, [])
+        reports = self._mailbox.collect(epoch_key)
         if cohort_mode:
             # representatives never report over the control channel in
             # cohort mode; everything is synthesized here

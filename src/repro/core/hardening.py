@@ -20,6 +20,7 @@ from repro.server.http import Status
 
 if TYPE_CHECKING:
     from repro.core.client import MFCClient
+    from repro.core.config import MFCConfig
     from repro.core.coordinator import Coordinator
 
 #: a degradation verdict whose aggregate lands this close to the kill
@@ -62,17 +63,23 @@ ACCEPT = Admission(Verdict.ACCEPT)
 
 class HardeningPolicy:
     """The paper's algorithm, unhardened: the null policy.  No hook
-    touches the event or RNG sequence, so runs stay byte-identical."""
+    touches the event or RNG sequence, so runs stay byte-identical.
+
+    The coordinator owns its policy and passes itself into the hooks
+    that call back into it; the policy keeps no reference to it."""
 
     #: client ids left out of base measurements and crowds
     quarantined: AbstractSet[str] = frozenset()
 
-    def __init__(self, coordinator: "Coordinator") -> None:
-        self.coordinator = coordinator
-        self.config = coordinator.config
+    def __init__(self, config: MFCConfig) -> None:
+        self.config = config
 
     def start_stage(
-        self, stage: StagePlan, live: List["MFCClient"], result: StageResult
+        self,
+        coordinator: "Coordinator",
+        stage: StagePlan,
+        live: List["MFCClient"],
+        result: StageResult,
     ) -> Generator:
         """Before the delay computation of *stage*, run over *live*."""
         return
@@ -82,13 +89,19 @@ class HardeningPolicy:
         """After the base measurements; may drop entries of the stage's
         *estimates* and re-measure them in place later."""
 
-    def admit(self, crowd: int, pool: List["MFCClient"], epoch: EpochResult) -> Generator:
+    def admit(
+        self,
+        coordinator: "Coordinator",
+        crowd: int,
+        pool: List["MFCClient"],
+        epoch: EpochResult,
+    ) -> Generator:
         """Judge the epoch just run at *crowd* over *pool*; returns an
         :class:`Admission`."""
         return ACCEPT
         yield  # a generator that never suspends
 
-    def accepted(self) -> Generator:
+    def accepted(self, coordinator: "Coordinator") -> Generator:
         """After an accepted epoch reached the planner."""
         return
         yield  # a generator that never suspends
@@ -108,13 +121,17 @@ class Hardened(HardeningPolicy):
     sick-probe streak and the retry count of the stage in progress."""
 
     def start_stage(
-        self, stage: StagePlan, live: List["MFCClient"], result: StageResult
+        self,
+        coordinator: "Coordinator",
+        stage: StagePlan,
+        live: List["MFCClient"],
+        result: StageResult,
     ) -> Generator:
         self.stage, self.live, self.result = stage, live, result
         self._sick_streak = self._attempts = self._accepted = 0
         # a client that died since registration must not hold up the
         # sequential measurement phase
-        yield from self._reliveness()
+        yield from self._reliveness(coordinator)
 
     def screen_bases(self, estimates: Dict[str, DelayEstimates]) -> None:
         """Drop clients whose base measurement hit the kill timer.
@@ -134,7 +151,13 @@ class Hardened(HardeningPolicy):
             self.result.quarantined_clients, len(self.live) - len(estimates)
         )
 
-    def admit(self, crowd: int, pool: List["MFCClient"], epoch: EpochResult) -> Generator:
+    def admit(
+        self,
+        coordinator: "Coordinator",
+        crowd: int,
+        pool: List["MFCClient"],
+        epoch: EpochResult,
+    ) -> Generator:
         problem = self._epoch_problem(epoch)
         stale_problem = None
         if problem is None:
@@ -145,7 +168,7 @@ class Hardened(HardeningPolicy):
             # *without* the crowd — an unloaded probe degraded too means
             # ambient interference (latency storm, middleware stall),
             # not queueing
-            healthy = yield from self._health_probe(pool, epoch)
+            healthy = yield from self._health_probe(coordinator, pool, epoch)
             if healthy:
                 self._sick_streak = 0
             else:
@@ -193,7 +216,7 @@ class Hardened(HardeningPolicy):
                 f"invalid epoch at crowd {crowd} after {self._attempts} "
                 f"attempts: {problem}",
             )
-        yield from self._reliveness()
+        yield from self._reliveness(coordinator)
         if stale_problem is not None:
             # the stage's base measurements are poisoned (taken during a
             # transient inflation that has passed): every sample
@@ -202,17 +225,17 @@ class Hardened(HardeningPolicy):
             # queueing cancels into a clean-looking number that masks
             # the knee.  The only honest recovery is fresh bases for the
             # whole pool before retrying the crowd.
-            fresh = yield from self.coordinator._delay_computation(self.stage, self.live)
+            fresh = yield from coordinator._delay_computation(self.stage, self.live)
             self.result.total_requests += len(fresh) * self.stage.connections
             self.estimates.clear()
             self.estimates.update(fresh)
             self.screen_bases(self.estimates)
         return Admission(Verdict.RETRY, problem)
 
-    def accepted(self) -> Generator:
+    def accepted(self, coordinator: "Coordinator") -> Generator:
         self._accepted += 1
         if self._accepted % RELIVENESS_EVERY_EPOCHS == 0:
-            yield from self._reliveness()
+            yield from self._reliveness(coordinator)
 
     def samples(self, reports: List[ClientReport]) -> List[ClientReport]:
         # a loaded response that beat its own unloaded base by more than
@@ -224,7 +247,7 @@ class Hardened(HardeningPolicy):
         floor = -self.config.threshold_s
         return [r for r in super().samples(reports) if r.normalized_s >= floor]
 
-    def _reliveness(self) -> Generator:
+    def _reliveness(self, coordinator: "Coordinator") -> Generator:
         """Re-probe the fleet mid-experiment; quarantine non-responders.
 
         The quarantine set is fully re-derived each check, so a client
@@ -232,7 +255,7 @@ class Hardened(HardeningPolicy):
         current stage only if it still holds usable base measurements,
         otherwise at the next stage's delay computation.
         """
-        alive = yield from self.coordinator._probe(self.live)
+        alive = yield from coordinator._probe(self.live)
         self.quarantined = {c.client_id for c in self.live} - alive
         self.result.quarantined_clients = max(
             self.result.quarantined_clients, len(self.quarantined)
@@ -285,7 +308,9 @@ class Hardened(HardeningPolicy):
             )
         return None
 
-    def _health_probe(self, pool: List["MFCClient"], epoch: EpochResult) -> Generator:
+    def _health_probe(
+        self, coordinator: "Coordinator", pool: List["MFCClient"], epoch: EpochResult
+    ) -> Generator:
         """One unloaded request after a degraded epoch (paper's
         non-intrusiveness rule): if the target is slow even with no
         crowd, the degradation is not ours to probe further.
@@ -313,7 +338,7 @@ class Hardened(HardeningPolicy):
         worst = list(dict.fromkeys(by_id[r.client_id] for r in carriers))
         probers = worst[:2] or [pool[0]]
         stage = self.stage
-        position = self.coordinator._position
+        position = coordinator._position
         for client in probers:
             status, normalized = yield from client.probe_unloaded(
                 stage.object_for(position[client.client_id]),

@@ -267,6 +267,7 @@ class IndicatorRunner:
         features = self.sim.run_until_complete(proc, limit=time_limit_s)
         if self.background is not None:
             self.background.stop()
+        self.sim.close()
         return IndicatorResult(
             target_name=self.scenario.name,
             features=features,

@@ -65,15 +65,6 @@ def subsystem_for(stage_name: str) -> str:
     return stage.resource if stage is not None else stage_name
 
 
-def __getattr__(name: str):
-    # SUBSYSTEM_BY_STAGE: the whole stage→sub-system table, kept as a
-    # module attribute for historical callers but computed on access so
-    # stages registered after this module was imported still appear
-    if name == "SUBSYSTEM_BY_STAGE":
-        return {n: stage.resource for n, stage in STAGES.items()}
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
-
 @dataclass
 class ConstraintReport:
     """Everything MFC can say about one target."""

@@ -116,7 +116,11 @@ class MFCRunner:
     # -- execution ------------------------------------------------------------
 
     def run(self, time_limit_s: float = 1e7) -> MFCResult:
-        """Run the whole experiment to completion."""
+        """Run the whole experiment to completion.
+
+        The kernel is closed once the result is in hand (see
+        :meth:`~repro.sim.kernel.Simulator.close`): a world runs once.
+        """
         if self.background is not None:
             self.background.start()
         if self.monitor is not None:
@@ -129,6 +133,7 @@ class MFCRunner:
             self.background.stop()
         if self.monitor is not None:
             self.monitor.stop()
+        self.sim.close()
         return result
 
     @property

@@ -44,7 +44,7 @@ from __future__ import annotations
 import random
 from typing import Any, Callable, List, Optional, Sequence, Tuple
 
-from repro.sim import _seed_kernel
+from repro.sim._seed_adapter import SeedSimulator
 from repro.sim.kernel import Simulator
 from repro.sim.process import Interrupt
 
@@ -353,7 +353,7 @@ def replay(
 def mismatch(ops: Sequence[Op], horizon: float = HORIZON, mode: str = "run") -> Optional[Tuple[List, List]]:
     """Replay *ops* on both kernels; return ``(seed_obs, wheel_obs)`` on
     divergence, ``None`` when the logs agree."""
-    seed_obs = replay(_seed_kernel.Simulator, ops, horizon, mode)
+    seed_obs = replay(SeedSimulator, ops, horizon, mode)
     wheel_obs = replay(Simulator, ops, horizon, mode)
     if seed_obs != wheel_obs:
         return seed_obs, wheel_obs

@@ -101,7 +101,7 @@ from repro.sim.timerwheel import (
     TimerWheel,
 )
 
-__all__ = ["SimulationError", "Simulator", "Timer"]
+__all__ = ["SimulationError", "Simulator", "Timer", "close_processes"]
 
 #: the Process class, bound by the first Simulator.process call
 _Process: Any = None
@@ -128,6 +128,7 @@ class Simulator:
         "_instant_cbs",
         "_cancel_seen",
         "_ready",
+        "_procs",
     )
 
     def __init__(self) -> None:
@@ -150,6 +151,10 @@ class Simulator:
         #: the draining instant's slot while its lone entry runs (see
         #: run): same-instant pushes append here without a key push
         self._ready: list = []
+        #: unfinished processes, in creation order: each registers
+        #: itself when created and leaves when it returns or fails, so
+        #: close() can reach the ones nothing will ever wake
+        self._procs: dict = {}
 
     # -- scheduling ----------------------------------------------------
 
@@ -329,6 +334,32 @@ class Simulator:
         removed = self._wheel.compact()
         self._cancel_seen = Timer._cancel_epoch
         return removed
+
+    def close(self) -> None:
+        """Tear the world down once its result is in hand.
+
+        What is still pending when the awaited process returns never
+        runs: sleeping and waiting processes, undelivered interrupts,
+        timers, instant-end callbacks.  Each pending entry ties the
+        kernel to the world it would call into, and each unfinished
+        process refers to itself through its wake and through the
+        subscriber list of the Event it waits on, so without this a
+        finished world is one reference cycle that waits for a full
+        collection.
+
+        ``close`` closes every unfinished process (see
+        :func:`close_processes`), then drops every pending entry unrun,
+        including whatever the closed processes' ``finally`` blocks
+        pushed.  No simulated work resumes and the clock does not move,
+        so no result can change.  The kernel is empty afterwards.
+        """
+        if self._running:
+            raise SimulationError("close() inside a run")
+        close_processes(self._procs)
+        self._slots.clear()
+        del self._keys[:]
+        self._ready.clear()
+        del self._instant_cbs[:]
 
     # -- factories ------------------------------------------------------
 
@@ -600,3 +631,19 @@ class Simulator:
 
 def _await(_process: Any) -> None:
     """Subscriber that keeps an awaited process's completion Event."""
+
+
+def close_processes(procs: dict) -> None:
+    """Close every process registered in *procs*, in creation order.
+
+    Each is detached from the Event it waits on and its generator is
+    closed: ``GeneratorExit`` lands at its yield, so its ``finally``
+    blocks run (a web-server handler releases its worker and memory)
+    and no code after the yield does.  A ``finally`` block that starts
+    a process registers it here; it is closed in the next round.
+    """
+    while procs:
+        batch = list(procs)
+        procs.clear()
+        for proc in batch:
+            proc._close()

@@ -43,6 +43,12 @@ push, no kernel round trip, the same results.  Resumes from an Event
 (``_resume``) never continue in place, because other subscribers of
 that Event may still run after them; neither does anything on the
 frozen seed kernel, where a sleep keeps its ``_push_timer`` handle.
+
+**Teardown.**  A process sits in its kernel's registry of unfinished
+processes from creation until it returns or fails.
+:meth:`~repro.sim.kernel.Simulator.close` closes the ones still there
+once a world's result is in hand, so a process that will never be
+woken does not keep the world alive in a reference cycle.
 """
 
 from __future__ import annotations
@@ -82,6 +88,7 @@ class Process(Event):
         #: the pending sleep's instant (a Timer on the seed kernel)
         self._sleep_at: Any = None
         self._wake = wake = self._advance
+        sim._procs[self] = None
         _hand_off(sim, wake)
 
     @property
@@ -205,10 +212,22 @@ class Process(Event):
         self._waiting_on = target
         target.subscribe(self._resume)
 
+    def _close(self) -> None:
+        """Kernel teardown: leave the Event waited on, drop the wake and
+        close the generator (see :func:`~repro.sim.kernel.close_processes`)."""
+        target = self._waiting_on
+        if target is not None:
+            self._waiting_on = None
+            target.unsubscribe(self._resume)
+        self._wake = self._sleep_at = None
+        self._gen.close()
+
     def _finish(self, value: Any) -> None:
-        # the wake refers back to the process: drop it, so a finished
-        # process is freed by refcount rather than the cycle collector
+        # the wake refers back to the process and the kernel registry
+        # holds it: drop both, so a finished process is freed by
+        # refcount rather than the cycle collector
         self._wake = None
+        del self.sim._procs[self]
         if self._callbacks:
             self.succeed(value)
             return
@@ -222,4 +241,5 @@ class Process(Event):
     def _finish_failed(self, err: BaseException) -> None:
         # a failure always fires: unwatched, it surfaces from the run
         self._wake = None
+        del self.sim._procs[self]
         self.fail(err)

@@ -336,15 +336,15 @@ def test_hardened_admission(
 ):
     clients = [StubClient(f"c{i}", unloaded_s) for i in range(CROWD)]
     coordinator = StubCoordinator(clients)
-    policy = Hardened(coordinator)
+    policy = Hardened(ADMIT_CONFIG)
     result = StageResult(stage_name="Base", outcome=StageOutcome.ABORTED)
-    drive(policy.start_stage(ADMIT_STAGE, clients, result))
+    drive(policy.start_stage(coordinator, ADMIT_STAGE, clients, result))
     estimates = {c.client_id: DelayEstimates(c.client_id, 0.01, 0.01) for c in clients}
     policy.screen_bases(estimates)
     verdicts = []
     for _ in range(admits):
         epoch = make_epoch()
-        admission = drive(policy.admit(CROWD, clients, epoch))
+        admission = drive(policy.admit(coordinator, CROWD, clients, epoch))
         verdicts.append(admission.verdict)
     # every admit before the last one retried the crowd
     assert verdicts == [Verdict.RETRY] * (admits - 1) + [verdict]
@@ -362,13 +362,13 @@ def test_hardened_admission(
 def test_null_policy_is_the_papers_algorithm():
     clients = [StubClient(f"c{i}", 1.0) for i in range(CROWD)]
     coordinator = StubCoordinator(clients)
-    policy = HardeningPolicy(coordinator)
+    policy = HardeningPolicy(ADMIT_CONFIG)
     result = StageResult(stage_name="Base", outcome=StageOutcome.ABORTED)
-    assert drive(policy.start_stage(ADMIT_STAGE, clients, result)) is None
+    assert drive(policy.start_stage(coordinator, ADMIT_STAGE, clients, result)) is None
     for make_epoch in (lossy_epoch, censored_epoch, stale_epoch, degraded_epoch):
         epoch = make_epoch()
-        assert drive(policy.admit(CROWD, clients, epoch)).verdict is Verdict.ACCEPT
+        assert drive(policy.admit(coordinator, CROWD, clients, epoch)).verdict is Verdict.ACCEPT
         assert policy.samples(epoch.reports) == epoch.reports
-    assert drive(policy.accepted()) is None
+    assert drive(policy.accepted(coordinator)) is None
     assert coordinator.probes == coordinator.remeasures == 0
     assert not policy.quarantined and result.invalid_epochs == 0

@@ -4,7 +4,6 @@ import pytest
 
 from repro.content.site import SiteContentBuilder, minimal_site
 from repro.core.inference import (
-    SUBSYSTEM_BY_STAGE,
     Provisioning,
     infer_constraints,
     subsystem_for,
@@ -171,14 +170,13 @@ def test_subsystem_mapping_comes_from_the_registry():
     assert subsystem_for("Base") == "http request handling"
     assert subsystem_for("Upload") == "back-end write path"
     assert subsystem_for("SomethingCustom") == "SomethingCustom"
-    assert SUBSYSTEM_BY_STAGE["CacheBust"] == "storage (disk) subsystem"
-    assert SUBSYSTEM_BY_STAGE["ConnChurn"] == "connection handling (accept/FD)"
+    assert subsystem_for("CacheBust") == "storage (disk) subsystem"
+    assert subsystem_for("ConnChurn") == "connection handling (accept/FD)"
 
 
 def test_subsystem_table_sees_late_registered_stages(monkeypatch):
-    """The module-level table is a live registry view, not an
-    import-time snapshot: a stage registered afterwards appears."""
-    import repro.core.inference as inference
+    """The mapping reads the live registry, not an import-time
+    snapshot: a stage registered afterwards appears."""
     from repro.core.stages import STAGES, ProbeStage
     from repro.server.http import Method
 
@@ -188,10 +186,8 @@ def test_subsystem_table_sees_late_registered_stages(monkeypatch):
         ProbeStage("LateStage", "late resource", Method.GET, 0.5,
                    source="base-page"),
     )
-    assert inference.SUBSYSTEM_BY_STAGE["LateStage"] == "late resource"
+    assert STAGES["LateStage"].resource == "late resource"
     assert subsystem_for("LateStage") == "late resource"
-    with pytest.raises(AttributeError):
-        inference.NOT_A_THING
 
 
 def test_cache_bust_vs_large_object_diagnosis():

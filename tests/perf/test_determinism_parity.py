@@ -41,7 +41,7 @@ from repro.core.stages import StageKind
 from repro.faults.spec import FAULT_PRESETS
 from repro.net import _seed_reference
 from repro.server import presets
-from repro.sim import _seed_kernel
+from repro.sim._seed_adapter import SeedSimulator
 from repro.workload.fleet import FleetSpec
 from repro.worlds.registry import SCENARIO_PRESETS
 from repro.worlds.spec import WorldSpec
@@ -175,7 +175,7 @@ def test_wheel_kernel_matches_seed_kernel(
     coordinator) without touching any other layer.
     """
     wheel = _canonical(_run_world(scenario_factory, stage_kind, seed))
-    monkeypatch.setattr(kernel_module, "Simulator", _seed_kernel.Simulator)
+    monkeypatch.setattr(kernel_module, "Simulator", SeedSimulator)
     reference = _canonical(_run_world(scenario_factory, stage_kind, seed))
     assert wheel == reference
 

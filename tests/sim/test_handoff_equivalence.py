@@ -56,14 +56,14 @@ import pytest
 from repro.net.link import Network, TransferAborted
 from repro.net.tcp import TcpModel
 from repro.server.resources import ServerResources, ServerSpec
-from repro.sim import _seed_kernel
+from repro.sim._seed_adapter import SeedSimulator
 from repro.sim.events import AllOf, AnyOf, Event, deadline
 from repro.sim.kernel import SimulationError, Simulator
 from repro.sim.process import Interrupt, Process
 
 KERNELS = [
     pytest.param(Simulator, id="wheel"),
-    pytest.param(_seed_kernel.Simulator, id="seed"),
+    pytest.param(SeedSimulator, id="seed"),
 ]
 
 # ---------------------------------------------------------------------------

@@ -21,14 +21,14 @@ from typing import Any, Callable, List, Optional, Sequence
 
 import pytest
 
-from repro.sim import _seed_kernel
+from repro.sim._seed_adapter import SeedSimulator
 from repro.sim.kernel import Simulator
 from repro.sim.process import Interrupt, Process
 from repro.sim.timerwheel import TOMBSTONE
 
 KERNELS = [
     pytest.param(Simulator, id="wheel"),
-    pytest.param(_seed_kernel.Simulator, id="seed"),
+    pytest.param(SeedSimulator, id="seed"),
 ]
 
 
@@ -498,7 +498,7 @@ def test_random_interleavings_match_the_round_trip(sim_cls):
         assert live.log == ref.log, f"seed {seed} ({mode})"
         if sim_cls is Simulator:
             # and the seed kernel, which never continues in place
-            frozen = replay(_seed_kernel.Simulator, CountingProcess, actors, starts, mode)
+            frozen = replay(SeedSimulator, CountingProcess, actors, starts, mode)
             assert frozen.log == live.log, f"seed {seed} ({mode})"
         gained = in_place(live, ref)
         assert gained == 0 or sim_cls is Simulator

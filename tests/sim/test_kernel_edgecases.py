@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.sim import _seed_kernel
+from repro.sim._seed_adapter import SeedSimulator
 from repro.sim.kernel import SimulationError, Simulator
 from repro.sim.process import Interrupt
 from repro.sim.timerwheel import (
@@ -325,7 +325,7 @@ def test_lone_entry_pushes_at_now_join_the_ready_list() -> None:
     assert keys_seen == [[2.0]] * 3
 
 
-@pytest.mark.parametrize("sim_cls", [Simulator, _seed_kernel.Simulator], ids=["wheel", "seed"])
+@pytest.mark.parametrize("sim_cls", [Simulator, SeedSimulator], ids=["wheel", "seed"])
 def test_run_resumes_after_a_lone_callback_raised(sim_cls) -> None:
     # the raising callback had queued same-instant work: it must still
     # be pending, at its instant, for the next run

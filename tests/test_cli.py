@@ -4,13 +4,14 @@ import json
 
 import pytest
 
-from repro.cli import SCENARIOS, build_parser, main
+from repro.cli import build_parser, main
+from repro.worlds import SCENARIO_PRESETS
 
 
 def test_list_prints_all_scenarios(capsys):
     assert main(["list"]) == 0
     out = capsys.readouterr().out
-    for name in SCENARIOS:
+    for name in SCENARIO_PRESETS:
         assert name in out
 
 
@@ -118,7 +119,7 @@ def test_campaign_runs_and_resumes(capsys, tmp_path):
 def test_list_json_is_machine_readable(capsys):
     assert main(["list", "--json"]) == 0
     doc = json.loads(capsys.readouterr().out)
-    assert set(doc["scenarios"]) == set(SCENARIOS)
+    assert set(doc["scenarios"]) == set(SCENARIO_PRESETS)
     assert doc["scenarios"]["qtp"]["n_servers"] == 16
     # api-micro's biggest file is below the Large Object bound
     assert doc["scenarios"]["api-micro"]["stages"] == ["Base", "SmallQuery"]
