@@ -17,8 +17,8 @@ one progress advance, one progressive-filling pass and one completion
 reschedule for the whole instant.  Within an instant no simulated time
 elapses (dt = 0), so deferring the recompute to the instant boundary
 cannot change any trajectory: the determinism-parity suite holds whole
-worlds byte-identical to the frozen seed implementation in
-``_seed_reference.py``.  A synchronized N-client crowd therefore costs
+worlds byte-identical to the frozen seed implementation kept under
+``tests/reference/``.  A synchronized N-client crowd therefore costs
 one allocator pass instead of N (``allocator.sync_crowd`` in the perf
 suite measures exactly this).  Outside :meth:`Simulator.run` there is
 no instant to wait for, so mutations flush eagerly and synchronous

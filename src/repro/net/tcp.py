@@ -181,15 +181,9 @@ class TcpModel:
         if size_bytes <= 0:
             return 0.0
         floor_s = self.latency_floor_s(size_bytes, rtt)
-        if weight > 1:
-            transfer = network.start_transfer(
-                links, size_bytes * weight, weight=weight
-            )
-        else:
-            # the seed's two-argument call: the determinism-parity suite
-            # swaps in the frozen net/_seed_reference.Network, which
-            # predates weighted flows and takes no weight
-            transfer = network.start_transfer(links, size_bytes)
+        transfer = network.start_transfer(
+            links, size_bytes * weight, weight=weight
+        )
         # wait for the later of the floor and the transfer.  The
         # closing zero-delay hop is pushed while the later of the two
         # fires, the slot a condition event over both would take, so

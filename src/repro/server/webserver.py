@@ -100,6 +100,8 @@ class SimWebServer:
         #: 503) until :meth:`restart` brings it back with cold caches
         self.crashed = False
         self.crash_count = 0
+        #: weight of the requests parked while the box is down
+        self._parked_weight = 0
 
     # -- fault injection ----------------------------------------------------------
 
@@ -111,8 +113,15 @@ class SimWebServer:
         self.crash_count += 1
 
     def restart(self) -> None:
-        """Bring the box back with cold caches and a clean burst window."""
+        """Bring the box back with cold caches and a clean burst window.
+
+        The requests parked while the box was down stay parked (their
+        clients give up on their own kill timers), but they leave
+        ``pending_requests``: the box will never answer them.
+        """
         self.crashed = False
+        self.pending_requests -= self._parked_weight
+        self._parked_weight = 0
         self.object_cache.clear()
         self.response_cache.clear()
         self._thrashing = False
@@ -157,11 +166,9 @@ class SimWebServer:
         meter=None,
     ) -> Generator:
         arrival = self.sim.now
+        if self.crashed:
+            yield from self._park(weight)
         try:
-            if self.crashed:
-                # a dead host never answers: park on an event that never
-                # triggers and let the client's kill timer resolve it
-                yield Event(self.sim)
             threshold = self.spec.accept_thrash_threshold
             if threshold is not None:
                 # a synchronized crowd lands N arrivals on this very
@@ -291,6 +298,22 @@ class SimWebServer:
                     meter.demand(self.resources.workers, held, admitted)
         finally:
             self.pending_requests -= weight
+
+    def _park(self, weight: int) -> Generator:
+        """A dead host never answers: hang on an Event that never
+        triggers and let the client's kill timer resolve the request.
+
+        It counts in ``pending_requests`` until :meth:`restart` writes
+        it off, or until the world is torn down during the outage.
+        """
+        outage = self.crash_count
+        self._parked_weight += weight
+        try:
+            yield Event(self.sim)
+        finally:
+            if self.crashed and self.crash_count == outage:
+                self._parked_weight -= weight
+                self.pending_requests -= weight
 
     def _handle_write(
         self,

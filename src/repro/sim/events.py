@@ -20,21 +20,6 @@ from repro.sim.kernel import SimulationError, Simulator
 Callback = Callable[["Event"], None]
 
 
-def _hand_off(sim: Simulator, fn: Callable[[], Any]) -> None:
-    """Run ``fn()`` at the current instant, after what is already queued.
-
-    The bare-callback form of a zero-delay Event that nothing waits
-    on: same FIFO slot, no Event.  The frozen seed kernel used by the
-    parity suite has no ``_push_now``; a zero-delay timer takes the
-    same slot there.
-    """
-    push = getattr(sim, "_push_now", None)
-    if push is not None:
-        push(fn)
-    else:
-        sim._push_timer(0.0, fn)
-
-
 def deadline(sim: Simulator, event: "Event", delay: float) -> "Event":
     """An Event that fires once *event* fires or *delay* seconds pass.
 
@@ -165,7 +150,7 @@ class Event:
         if self._callbacks is not None:
             self._callbacks.append(callback)
             return
-        _hand_off(self.sim, lambda: callback(self))
+        self.sim._push_now(lambda: callback(self))
 
     def unsubscribe(self, callback: Callback) -> bool:
         """Remove *callback* if still pending.  Returns True if removed."""

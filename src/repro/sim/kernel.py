@@ -49,8 +49,7 @@ yields ``0`` inside such a wake skips the push and the kernel
 round trip and runs on; nothing else could have run in between, and
 the instant-end callbacks still run after the instant drains, so
 results stay byte-identical.  ``step`` pops its entry before running
-it, so nothing continues in place under single-stepping; the frozen
-seed kernel has no slots, so nothing does there either.
+it, so nothing continues in place under single-stepping.
 
 Pending entries live on a :class:`~repro.sim.timerwheel.TimerWheel`:
 a dict of slot buckets keyed by the exact float timestamp plus a
@@ -72,10 +71,17 @@ quantization.
 The timestamp arithmetic is deliberately kept identical to the
 original Event-based path (``now + (when - now)`` for absolute
 scheduling) so refactors on top of the fast path stay byte-identical.
-The frozen pre-wheel kernel is kept verbatim in ``_seed_kernel.py``;
-the differential property suite in ``difftest.py`` replays random
-operation sequences on both and asserts identical observable
-behaviour.
+The frozen pre-wheel kernel is kept verbatim under ``tests/reference/``;
+the differential property suite there replays random operation
+sequences on both and asserts identical observable behaviour.
+
+**The process protocol.**  Besides the public scheduling methods,
+:class:`~repro.sim.process.Process` and :class:`~repro.sim.events.Event`
+use six kernel members, and no other: ``_push_now`` (a same-instant
+hand-off), ``_push_sleep`` (a wake *delay* from now, returning a
+handle), ``_cancel_sleep`` (undo a sleep by that handle), ``_slots``
+(read to decide an in-place continuation), ``_procs`` (the registry
+of unfinished processes) and ``close``.
 
 **Allocation instants.**  :meth:`Simulator.at_instant_end` registers a
 callback to run once the current same-timestamp batch has fully
@@ -99,6 +105,7 @@ from repro.sim.timerwheel import (
     COMPACT_EPOCH_DELTA,
     Timer,
     TimerWheel,
+    cancel_entry,
 )
 
 __all__ = ["SimulationError", "Simulator", "Timer", "close_processes"]
@@ -189,8 +196,7 @@ class Simulator:
         """Push a process's wake *delay* seconds from now; no handle.
 
         Returns the instant: the sleeping process keeps it, and an
-        interrupt tombstones the entry with
-        :func:`~repro.sim.timerwheel.cancel_entry`.
+        interrupt hands it to :meth:`_cancel_sleep`.
         """
         when = self.now + delay
         slots = self._slots
@@ -203,6 +209,10 @@ class Simulator:
         else:
             slots[when] = [cur, fn]
         return when
+
+    def _cancel_sleep(self, when: float, fn: Callable[[], Any]) -> None:
+        """Tombstone the wake *fn* that :meth:`_push_sleep` put at *when*."""
+        cancel_entry(self._slots, when, fn)
 
     def _push_now(
         self, fn: Callable[[], Any], _heappush: Callable = heappush

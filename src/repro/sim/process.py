@@ -33,16 +33,16 @@ order, after everything already queued there.  The start is not
 cancellable: a process interrupted before its first step still runs
 to its first ``yield``, and the :class:`Interrupt` is thrown in there.
 Interrupt delivery is the same kind of bare hand-off.  An interrupt
-during a sleep tombstones the pending wake by its instant and
-identity, as ``Timer.cancel`` does.
+during a sleep cancels the pending wake through the kernel's
+``_cancel_sleep``, which tombstones it by its instant and identity,
+as ``Timer.cancel`` does.
 
 **In-place continuation.**  A ``yield 0`` inside ``_wake`` continues
 the generator on the spot when the wake it would push is the entry
 the kernel would run next anyway (see the kernel's docstring): no
 push, no kernel round trip, the same results.  Resumes from an Event
 (``_resume``) never continue in place, because other subscribers of
-that Event may still run after them; neither does anything on the
-frozen seed kernel, where a sleep keeps its ``_push_timer`` handle.
+that Event may still run after them.
 
 **Teardown.**  A process sits in its kernel's registry of unfinished
 processes from creation until it returns or fails.
@@ -55,13 +55,8 @@ from __future__ import annotations
 
 from typing import Any, Generator, Optional
 
-from repro.sim.events import Event, _hand_off
+from repro.sim.events import Event
 from repro.sim.kernel import SimulationError, Simulator
-from repro.sim.timerwheel import cancel_entry
-
-#: stands in for the slots of a kernel without them (the frozen seed
-#: kernel): no wake is ever found there, so nothing continues in place
-_NO_SLOTS: dict = {}
 
 
 class Interrupt(Exception):
@@ -85,11 +80,11 @@ class Process(Event):
             )
         self._gen = generator
         self._waiting_on: Optional[Event] = None
-        #: the pending sleep's instant (a Timer on the seed kernel)
+        #: the pending sleep, as ``_push_sleep`` returned it
         self._sleep_at: Any = None
         self._wake = wake = self._advance
         sim._procs[self] = None
-        _hand_off(sim, wake)
+        sim._push_now(wake)
 
     @property
     def is_alive(self) -> bool:
@@ -108,7 +103,7 @@ class Process(Event):
         if self._triggered:
             return
         self._detach()
-        _hand_off(self.sim, lambda: self._throw_in(Interrupt(cause)))
+        self.sim._push_now(lambda: self._throw_in(Interrupt(cause)))
 
     # -- internals ---------------------------------------------------------
 
@@ -120,11 +115,7 @@ class Process(Event):
         at = self._sleep_at
         if at is not None:
             self._sleep_at = None
-            cancel = getattr(at, "cancel", None)
-            if cancel is not None:
-                cancel()  # the seed kernel's Timer handle
-            else:
-                cancel_entry(self.sim._slots, at, self._wake)
+            self.sim._cancel_sleep(at, self._wake)
 
     def _throw_in(self, exc: BaseException) -> None:
         if self._triggered:
@@ -159,7 +150,7 @@ class Process(Event):
                 # lone entry with an empty ready list behind it, or the
                 # last cell of the list being drained
                 sim = self.sim
-                cur = getattr(sim, "_slots", _NO_SLOTS).get(sim.now)
+                cur = sim._slots.get(sim.now)
                 if cur.__class__ is list and (not cur or cur[-1] is self._wake):
                     continue
             self._wait_on(target)
@@ -191,12 +182,7 @@ class Process(Event):
                     SimulationError(f"negative sleep: {target!r}")
                 )
                 return
-            sim = self.sim
-            try:
-                push = sim._push_sleep
-            except AttributeError:  # the frozen seed kernel
-                push = sim._push_timer
-            self._sleep_at = push(target, self._wake)
+            self._sleep_at = self.sim._push_sleep(target, self._wake)
             return
         if not isinstance(target, Event):
             err = SimulationError(

@@ -129,3 +129,50 @@ def test_report_loss_loses_reports_but_completes():
 def test_blackhole_reports_client_timeouts():
     faulted = run_world(FaultSpec(events=(EVENTS["blackhole"],)))
     assert any(r.timed_out for r in all_reports(faulted))
+
+
+# -- server crash and restart -----------------------------------------------------
+
+
+def _crash_world(scenario):
+    return WorldSpec(
+        scenario=SCENARIO_PRESETS[scenario](),
+        fleet=FleetSpec(n_clients=65),
+        config=MFCConfig(
+            max_crowd=55, crowd_step=5, initial_crowd=5, min_clients=48, hardening=True
+        ),
+        seed=1,
+        faults=FAULT_PRESETS["crash"](),
+    )
+
+
+@pytest.mark.parametrize("scenario", ["lab", "qtp"])
+def test_restarted_box_counts_no_parked_requests(monkeypatch, scenario):
+    # the requests a box parked while down will never be answered: once
+    # it restarts it must not count them, or a least-connections
+    # cluster steers by them.  The world is left open (no teardown) and
+    # drained, so every request a box will ever answer is answered and
+    # nothing but the restart can take the parked ones out
+    from repro.sim.kernel import Simulator
+
+    monkeypatch.setattr(Simulator, "close", lambda self: None)
+    runner = _crash_world(scenario).build()
+    runner.run()
+    runner.sim.run()
+    assert runner.faults.stats["server-restart"] == 1
+    assert len(runner.servers) == (16 if scenario == "qtp" else 1)
+    assert [s.pending_requests for s in runner.servers] == [0] * len(runner.servers)
+    # not vacuous: the parked requests are still parked
+    assert runner.sim._procs
+
+
+@pytest.mark.parametrize("duration_s", [45.0, 1e6], ids=["restarted", "still-down"])
+def test_torn_down_crash_world_counts_no_pending_requests(duration_s):
+    # the teardown closes the parked requests: each leaves the count
+    # once, whether or not a restart wrote it off first
+    crash = FaultEvent(kind="server-crash", start_s=90.0, duration_s=duration_s)
+    spec = dataclasses.replace(_crash_world("lab"), faults=FaultSpec(events=(crash,)))
+    runner = spec.build()
+    runner.run()
+    assert runner.servers[0].crashed == (duration_s > 1e3)
+    assert runner.servers[0].pending_requests == 0

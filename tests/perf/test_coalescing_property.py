@@ -8,7 +8,7 @@ random star-plus-bottleneck topologies, replays each script through
 
 - the coalesced :class:`repro.net.link.Network` (one allocator pass
   per simulated instant, lazy share/ETA heaps), and
-- the frozen seed implementation in ``repro/net/_seed_reference.py``
+- the frozen seed implementation in ``tests/reference/_seed_reference.py``
   (one full recompute per individual event),
 
 and asserts the observable outcomes agree: identical completion
@@ -23,8 +23,8 @@ rounding only — bounded here at 1e-9 relative).
 import random
 
 import pytest
+from reference import _seed_reference
 
-from repro.net import _seed_reference
 from repro.net.link import Network
 from repro.sim import Simulator
 

@@ -5,10 +5,12 @@ on the refactored substrate has to produce an ``MFCResult``
 byte-identical to one built on the frozen seed implementation.  Two
 frozen references exist, one per refactored layer:
 
-- ``repro/net/_seed_reference.py`` — the pre-refactor ``Network``
-  (active-link-set allocator, incremental link aggregates);
-- ``repro/sim/_seed_kernel.py`` — the pre-wheel simulation kernel
-  (single ``(when, eid, obj)`` heap).
+- ``tests/reference/_seed_reference.py`` — the pre-refactor
+  ``Network`` (active-link-set allocator, incremental link
+  aggregates), run as :class:`reference.adapters.SeedNetwork`;
+- ``tests/reference/_seed_kernel.py`` — the pre-wheel simulation
+  kernel (single ``(when, eid, obj)`` heap), run as
+  :class:`reference.adapters.SeedSimulator`.
 
 This is not only a refactor-safety check — the campaign result caches
 under ``benchmarks/results/cache/`` are keyed by world parameters, not
@@ -31,6 +33,7 @@ import os
 
 import golden_worlds
 import pytest
+from reference.adapters import SeedNetwork, SeedSimulator
 
 import repro.net.topology as topology_module
 import repro.sim.kernel as kernel_module
@@ -39,9 +42,7 @@ from repro.core.config import MFCConfig
 from repro.core.runner import MFCRunner
 from repro.core.stages import StageKind
 from repro.faults.spec import FAULT_PRESETS
-from repro.net import _seed_reference
 from repro.server import presets
-from repro.sim._seed_adapter import SeedSimulator
 from repro.workload.fleet import FleetSpec
 from repro.worlds.registry import SCENARIO_PRESETS
 from repro.worlds.spec import WorldSpec
@@ -90,7 +91,7 @@ def test_refactored_world_matches_seed_network(
     monkeypatch, scenario_factory, stage_kind, seed
 ):
     fast = _canonical(_run_world(scenario_factory, stage_kind, seed))
-    monkeypatch.setattr(topology_module, "Network", _seed_reference.Network)
+    monkeypatch.setattr(topology_module, "Network", SeedNetwork)
     reference = _canonical(_run_world(scenario_factory, stage_kind, seed))
     assert fast == reference
 

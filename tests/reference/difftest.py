@@ -1,7 +1,7 @@
 """Differential property harness: timer wheel vs. frozen seed kernel.
 
 The timer-wheel kernel (:mod:`repro.sim.kernel`) must be *observably
-identical* to the frozen seed heap (:mod:`repro.sim._seed_kernel`).
+identical* to the frozen seed heap (:mod:`reference._seed_kernel`).
 This module makes that claim testable: it generates random operation
 sequences — schedules, cancellations, reschedules, duplicate
 timestamps, cancel-inside-callback, zero / sub-ulp / negative-clamped
@@ -44,7 +44,7 @@ from __future__ import annotations
 import random
 from typing import Any, Callable, List, Optional, Sequence, Tuple
 
-from repro.sim._seed_adapter import SeedSimulator
+from reference.adapters import SeedSimulator
 from repro.sim.kernel import Simulator
 from repro.sim.process import Interrupt
 

@@ -17,7 +17,7 @@ old sleep and start path: each sleep on its own Timer handle, resumed
 through the Event path's resume, where the library's process now
 wakes through one cached callback and may continue a zero sleep in
 place.  Seeded random
-interleavings (plain ``random``, like :mod:`repro.sim.difftest`) run
+interleavings (plain ``random``, like :mod:`reference.difftest`) run
 the same actor scripts once through the old formulations and once
 through the new ones, on the live kernel and on the frozen seed
 kernel, and compare the firing logs (``now`` and order at every step)
@@ -52,11 +52,11 @@ from types import SimpleNamespace
 from typing import Any, Dict, List, Sequence
 
 import pytest
+from reference.adapters import SeedSimulator
 
 from repro.net.link import Network, TransferAborted
 from repro.net.tcp import TcpModel
 from repro.server.resources import ServerResources, ServerSpec
-from repro.sim._seed_adapter import SeedSimulator
 from repro.sim.events import AllOf, AnyOf, Event, deadline
 from repro.sim.kernel import SimulationError, Simulator
 from repro.sim.process import Interrupt, Process

@@ -20,8 +20,8 @@ import random
 from typing import Any, Callable, List, Optional, Sequence
 
 import pytest
+from reference.adapters import SeedSimulator
 
-from repro.sim._seed_adapter import SeedSimulator
 from repro.sim.kernel import Simulator
 from repro.sim.process import Interrupt, Process
 from repro.sim.timerwheel import TOMBSTONE

@@ -7,7 +7,7 @@ same-instant chains) on both the live kernel and the frozen seed copy,
 driven by ``run``, by ``run_until_complete`` then ``run``, or by
 ``step``, and asserts the full observation logs match — fire order,
 ``now`` at every fire, raised error types, final clock.  See
-:mod:`repro.sim.difftest`.
+:mod:`reference.difftest`.
 
 The default matrix runs 250 sequences (10 blocks x 25) in a few
 hundred milliseconds.  ``REPRO_DIFFTEST_CASES`` scales the per-block
@@ -20,7 +20,7 @@ import os
 
 import pytest
 
-from repro.sim import difftest
+from reference import difftest
 
 #: sequences per parametrized block (x10 blocks)
 CASES_PER_BLOCK = int(os.environ.get("REPRO_DIFFTEST_CASES", "25"))

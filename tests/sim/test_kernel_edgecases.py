@@ -11,8 +11,8 @@ same-instant batching across all three drive loops, reentrancy).
 from __future__ import annotations
 
 import pytest
+from reference.adapters import SeedSimulator
 
-from repro.sim._seed_adapter import SeedSimulator
 from repro.sim.kernel import SimulationError, Simulator
 from repro.sim.process import Interrupt
 from repro.sim.timerwheel import (

@@ -13,8 +13,8 @@ import gc
 import weakref
 
 import pytest
+from reference.adapters import SeedSimulator
 
-from repro.sim._seed_adapter import SeedSimulator
 from repro.sim.kernel import SimulationError, Simulator
 from repro.sim.process import Interrupt, Process
 from repro.sim.resources import Resource
