@@ -9,10 +9,12 @@ same distribution, so one **representative** request carrying the whole
 cohort's weight can stand in for all of them:
 
 - the representative's macro-request runs the *real* server pipeline
-  once with weight-1 resource claims, while the other ``weight − 1``
-  members' demand is posted into the busy statistics
-  (:meth:`repro.sim.resources.Resource.account`) and recorded on a
-  :class:`CohortMeter` — the *occupancy ledger*;
+  once with weight-1 resource claims, and each hold ends in one call
+  to ``Resource.account(held, weight, meter)``
+  (:meth:`repro.sim.resources.Resource.account`), the one place a
+  hold enters the *occupancy ledger*: the other ``weight − 1``
+  members' demand is posted into the busy statistics and the hold is
+  recorded on a :class:`CohortMeter`;
 - the fluid network carries one macro-flow of weight N
   (:mod:`repro.net.link`'s weighted max-min allocator), so link
   contention is exact;

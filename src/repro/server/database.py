@@ -79,14 +79,12 @@ class Database:
 
         *swap_factor* scales service time when the host is swapping
         (the database shares the box with the web server in the paper's
-        lab setup).  ``weight``/``meter`` implement cohort mode's
-        occupancy ledger: the representative query runs for real, the
-        other members' identical demand is posted into the busy
-        statistics and recorded for positional queue synthesis.
+        lab setup).  ``weight``/``meter`` are cohort mode's occupancy
+        ledger, see :meth:`~repro.sim.resources.Resource.account`.
         """
         if not query.dynamic:
             raise ValueError(f"not a query object: {query.path}")
-        self.queries_executed += weight if weight > 1 else 1
+        self.queries_executed += weight
         if query.cacheable and self.query_cache.lookup(query.path):
             # cached responses skip the scan; only the cache probe costs
             yield (
@@ -101,10 +99,7 @@ class Database:
             yield service_s
         finally:
             self.connections.release(grant)
-        if weight > 1:
-            self.connections.account((weight - 1) * service_s)
-        if meter is not None:
-            meter.demand(self.connections, service_s, weight)
+        self.connections.account(service_s, weight, meter)
 
         if self._contention is not None:
             hop = yield from self._contention.acquire(meter)
@@ -113,10 +108,7 @@ class Database:
                 yield hop_s
             finally:
                 self._contention.release(hop)
-            if weight > 1:
-                self._contention.account((weight - 1) * hop_s)
-            if meter is not None:
-                meter.demand(self._contention, hop_s, weight)
+            self._contention.account(hop_s, weight, meter)
 
         if query.cacheable:
             self.query_cache.insert(query.path, query.size_bytes)

@@ -161,11 +161,8 @@ class ServerResources:
     def consume_cpu(self, seconds: float, weight: int = 1, meter=None) -> Generator:
         """Process body: hold one core for (scaled) *seconds*.
 
-        ``weight``/``meter`` implement cohort mode's occupancy ledger:
-        the representative holds the core for one member's service,
-        the other ``weight − 1`` members' identical demand is posted
-        into the busy statistics (:meth:`~repro.sim.resources.Resource.account`)
-        and recorded on the meter for positional queue synthesis.
+        ``weight``/``meter`` are cohort mode's occupancy ledger, see
+        :meth:`~repro.sim.resources.Resource.account`.
         """
         if seconds <= 0:
             return
@@ -175,10 +172,7 @@ class ServerResources:
             yield duration
         finally:
             self.cpu.release(grant)
-        if weight > 1:
-            self.cpu.account((weight - 1) * duration)
-        if meter is not None:
-            meter.demand(self.cpu, duration, weight)
+        self.cpu.account(duration, weight, meter)
 
     def read_disk(self, size_bytes: float, weight: int = 1, meter=None) -> Generator:
         """Process body: seek + stream *size_bytes* off the disk."""
@@ -190,10 +184,7 @@ class ServerResources:
             yield duration
         finally:
             self.disk.release(grant)
-        if weight > 1:
-            self.disk.account((weight - 1) * duration)
-        if meter is not None:
-            meter.demand(self.disk, duration, weight)
+        self.disk.account(duration, weight, meter)
 
     def write_disk(self, size_bytes: float, weight: int = 1, meter=None) -> Generator:
         """Process body: journal *size_bytes* onto the disk.

@@ -292,10 +292,7 @@ class SimWebServer:
                 held = self.sim.now - worker_from
                 self.resources.workers.release(worker)
                 self._worker_load_weight -= admitted
-                if admitted > 1:
-                    self.resources.workers.account((admitted - 1) * held)
-                if meter is not None:
-                    meter.demand(self.resources.workers, held, admitted)
+                self.resources.workers.account(held, admitted, meter)
         finally:
             self.pending_requests -= weight
 

@@ -11,12 +11,17 @@ Public surface::
     sim = Simulator()
     proc = sim.process(my_generator(sim))
     sim.run(until=100.0)
+
+Shared state between processes is a :class:`Resource` (counted units
+with a FIFO queue and the cohort occupancy ledger,
+:meth:`Resource.account`) or a :class:`Container` (a divisible
+quantity, such as memory, that never blocks).
 """
 
 from repro.sim.events import AllOf, AnyOf, Event, Timeout
 from repro.sim.kernel import SimulationError, Simulator, Timer
 from repro.sim.process import Interrupt, Process
-from repro.sim.resources import Container, PriorityResource, Resource, Store
+from repro.sim.resources import Container, Resource
 from repro.sim.rng import RNGRegistry
 from repro.sim.trace import Probe, TraceLog
 
@@ -26,14 +31,12 @@ __all__ = [
     "Container",
     "Event",
     "Interrupt",
-    "PriorityResource",
     "Probe",
     "Process",
     "Resource",
     "RNGRegistry",
     "SimulationError",
     "Simulator",
-    "Store",
     "Timeout",
     "Timer",
     "TraceLog",

@@ -5,19 +5,20 @@ structure.  Events are scheduled with :meth:`Simulator.schedule` and
 fire in timestamp order; ties break FIFO by insertion order so the
 simulation is fully deterministic for a given seed.
 
-Two kinds of entry live in the pending set:
+Every entry in the pending set is a callable, and the run loops call
+it:
 
-- :class:`~repro.sim.events.Event` — the full synchronization object
-  (value, subscribers, failure propagation), stored wrapped as a
-  one-tuple ``(event,)``;
-- a bare callback — the *fast path*: no value, no subscriber list and
-  no state machine.  ``call_at`` / ``call_in`` schedule one and return
-  a :class:`~repro.sim.timerwheel.Timer` handle for it; a generator
-  process that yields a plain number sleeps on its one cached wake
-  callback through ``_push_sleep``, which returns only the instant;
-  and same-instant hand-offs (process start, interrupt delivery,
-  late-subscriber relays) take their FIFO slot with one through
-  ``_push_now``, which returns nothing.
+- an :class:`~repro.sim.events.Event` — the full synchronization
+  object (value, subscribers, failure propagation) — is scheduled as
+  its bound ``_fire``;
+- a bare callback is the *fast path*: no value, no subscriber list
+  and no state machine.  ``call_at`` / ``call_in`` schedule one and
+  return a :class:`~repro.sim.timerwheel.Timer` handle for it; a
+  generator process that yields a plain number sleeps on its one
+  cached wake callback through ``_push_sleep``, which returns only the
+  instant; and same-instant hand-offs (process start, interrupt
+  delivery, late-subscriber relays) take their FIFO slot with one
+  through ``_push_now``, which returns nothing.
 
 The hand-off rule: an Event is created only where something needs its
 value, its subscribers or a condition.  A hand-off that only holds a
@@ -176,7 +177,7 @@ class Simulator:
         if delay < 0:
             raise SimulationError(f"cannot schedule into the past (delay={delay})")
         when = self.now + delay
-        entry = (event,)
+        entry = event._fire
         slots = self._slots
         cur = slots.get(when)
         if cur is None:
@@ -433,10 +434,7 @@ class Simulator:
             del slots[when]
             heappop(keys)
         self.now = when
-        if obj.__class__ is tuple:
-            obj[0]._fire()
-        else:
-            obj()
+        obj()
         while self._instant_cbs and (not keys or keys[0] != self.now):
             self._run_instant_end()
 
@@ -485,10 +483,7 @@ class Simulator:
                     # scans the bucket backwards, so it reaches the
                     # pending copy of a callback, never a fired one
                     for obj in bucket:
-                        if obj.__class__ is tuple:
-                            obj[0]._fire()
-                        else:
-                            obj()
+                        obj()
                     del slots[when]
                     pop(keys)
                 else:
@@ -498,16 +493,10 @@ class Simulator:
                     # same-instant pushes append there with no key push
                     pop(keys)
                     slots[when] = ready
-                    if bucket.__class__ is tuple:
-                        bucket[0]._fire()
-                    else:
-                        bucket()
+                    bucket()
                     if ready:
                         for obj in ready:
-                            if obj.__class__ is tuple:
-                                obj[0]._fire()
-                            else:
-                                obj()
+                            obj()
                         ready.clear()
                     del slots[when]
             if until is not None and self.now < until:
@@ -564,19 +553,13 @@ class Simulator:
                     # slot; a stop mid-chain parks the unfired rest
                     pop(keys)
                     slots[when] = ready
-                    if bucket.__class__ is tuple:
-                        bucket[0]._fire()
-                    else:
-                        bucket()
+                    bucket()
                     if ready:
                         n = 0
                         if not process._processed:
                             for obj in ready:
                                 n += 1
-                                if obj.__class__ is tuple:
-                                    obj[0]._fire()
-                                else:
-                                    obj()
+                                obj()
                                 if process._processed:
                                     break
                         if n < len(ready):
@@ -591,10 +574,7 @@ class Simulator:
                 n = 0
                 for obj in bucket:
                     n += 1
-                    if obj.__class__ is tuple:
-                        obj[0]._fire()
-                    else:
-                        obj()
+                    obj()
                     if process._processed:
                         break
                 if n < len(bucket):

@@ -1,11 +1,11 @@
 """Shared resources for simulation processes.
 
 - :class:`Resource` — a counted resource with a FIFO wait queue
-  (e.g. a worker pool, a disk head, a CPU with N cores).
-- :class:`PriorityResource` — like :class:`Resource` but the queue
-  orders by a numeric priority (lower first), FIFO within a priority.
-- :class:`Container` — a divisible quantity (e.g. bytes of memory).
-- :class:`Store` — a queue of discrete items.
+  (e.g. a worker pool, a disk head, a CPU with N cores).  Its
+  :meth:`~Resource.account` is the occupancy ledger: the one place a
+  cohort's hidden members enter the busy statistics and the meter.
+- :class:`Container` — a divisible quantity (e.g. bytes of memory);
+  ``put`` and ``try_get`` never block.
 
 Usage from a process::
 
@@ -16,9 +16,8 @@ Usage from a process::
     finally:
         resource.release(req)
 
-A caller that never cancels its claim can use
-:meth:`Resource.acquire` instead, which skips the :class:`Request`
-when a unit is free::
+:meth:`Resource.acquire` does the same and skips the
+:class:`Request` when a unit is free::
 
     claim = yield from resource.acquire()
     try:
@@ -29,10 +28,8 @@ when a unit is free::
 
 from __future__ import annotations
 
-import heapq
-import itertools
 from collections import deque
-from typing import Any, Deque, Generator, List, Optional, Tuple
+from typing import Any, Deque, Generator, Optional
 
 from repro.sim.events import Event
 from repro.sim.kernel import SimulationError, Simulator
@@ -41,13 +38,7 @@ from repro.sim.kernel import SimulationError, Simulator
 class Request(Event):
     """A pending or granted claim on a :class:`Resource`."""
 
-    # ``priority`` is only populated by :class:`PriorityResource`
-    __slots__ = ("resource", "cancelled", "priority")
-
-    def __init__(self, resource: "Resource") -> None:
-        super().__init__(resource.sim)
-        self.resource = resource
-        self.cancelled = False
+    __slots__ = ()
 
     @property
     def value(self) -> "Request":
@@ -57,12 +48,6 @@ class Request(Event):
         itself would make every granted request a reference cycle.
         """
         return self
-
-    def cancel(self) -> None:
-        """Withdraw a queued request (no-op once granted)."""
-        self.cancelled = True
-        if not self.triggered:
-            self.resource._drop(self)
 
 
 class Resource:
@@ -113,22 +98,31 @@ class Resource:
         self._accumulate()
         return self._busy_integral
 
-    def account(self, busy_unit_seconds: float) -> None:
-        """Post externally-performed work into the busy statistics.
+    def account(self, held: float, weight: int, meter: Any = None) -> None:
+        """Enter one finished hold of *held* seconds into the ledger.
 
-        Cohort mode runs one representative request through the real
-        pipeline and *accounts* the other members' identical service
-        demand here, so windowed utilization (the monitor reads deltas
-        of :meth:`busy_integral`) reflects the whole weighted crowd
-        without one process per member.  Occupancy (``in_use``, the
-        wait queue) is deliberately untouched — queueing delay for the
-        unrepresented members is synthesized positionally by the
-        cohort layer, not simulated.
+        This is cohort mode's occupancy ledger, and every resource
+        hold on the server's request path ends with one call here.  A
+        representative request holds one unit for one member's
+        service; the other ``weight − 1`` members' identical demand is
+        posted into the busy statistics, so windowed utilization (the
+        monitor reads deltas of :meth:`busy_integral`) reflects the
+        whole weighted crowd without one process per member.  When a
+        *meter* (a :class:`~repro.core.cohort.CohortMeter`) is given,
+        the hold is then recorded on it as ``meter.demand(self, held,
+        weight)``, the input of positional queue synthesis.
+        Occupancy (``in_use``, the wait queue) is deliberately
+        untouched: the unrepresented members' queueing delay is
+        synthesized by the cohort layer, not simulated.  A weight-1
+        hold with no meter (exact mode) changes nothing.
         """
-        if busy_unit_seconds < 0:
-            raise SimulationError("negative busy accounting")
-        self._accumulate()
-        self._busy_integral += busy_unit_seconds
+        if held < 0:
+            raise SimulationError(f"{self.name}: negative hold in the ledger")
+        if weight > 1:
+            self._accumulate()
+            self._busy_integral += (weight - 1) * held
+        if meter is not None:
+            meter.demand(self, held, weight)
 
     def _accumulate(self) -> None:
         now = self.sim.now
@@ -139,11 +133,11 @@ class Resource:
 
     def request(self) -> Request:
         """Claim one unit; the returned event fires when granted."""
-        req = Request(self)
-        if self._free_unit():
+        req = Request(self.sim)
+        if self._in_use < self.capacity and not self._queue:
             self._grant(req)
         else:
-            self._enqueue(req)
+            self._queue.append(req)
             self.peak_queue_len = max(self.peak_queue_len, len(self._queue))
         return req
 
@@ -171,7 +165,7 @@ class Resource:
         """Take one unit at once if :meth:`request` would grant it at
         once; False (and nothing changes) when the caller must queue.
         A claimed unit is returned with ``release()``, no request."""
-        if self._free_unit():
+        if self._in_use < self.capacity and not self._queue:
             self._take()
             self._claimed += 1
             return True
@@ -188,7 +182,7 @@ class Resource:
             if not self._claimed:
                 raise SimulationError(f"{self.name}: releasing a claim that was never taken")
             self._claimed -= 1
-        elif not req.triggered or req.cancelled:
+        elif not req.triggered:
             raise SimulationError("releasing a request that was never granted")
         self._accumulate()
         self._in_use -= 1
@@ -197,28 +191,6 @@ class Resource:
         self._dispatch()
 
     # -- queue mechanics ------------------------------------------------------
-
-    def _free_unit(self) -> bool:
-        # a claim is granted at once: a unit is free and nobody queues
-        return self._in_use < self.capacity and not self._queue
-
-    def _enqueue(self, req: Request) -> None:
-        self._queue.append(req)
-
-    def _pop_next(self) -> Optional[Request]:
-        while self._queue:
-            req = self._queue.popleft()
-            if not req.cancelled:
-                return req
-        return None
-
-    def _drop(self, req: Request) -> None:
-        # Lazy removal: cancelled requests are skipped at pop time, but
-        # eagerly removing keeps queue_len honest for small queues.
-        try:
-            self._queue.remove(req)
-        except ValueError:
-            pass
 
     def _take(self) -> None:
         self._accumulate()
@@ -230,55 +202,18 @@ class Resource:
         req.succeed()
 
     def _dispatch(self) -> None:
-        while self._in_use < self.capacity:
-            nxt = self._pop_next()
-            if nxt is None:
-                return
-            self._grant(nxt)
-
-
-class PriorityResource(Resource):
-    """Resource whose queue orders by (priority, FIFO)."""
-
-    def __init__(self, sim: Simulator, capacity: int, name: str = "presource") -> None:
-        super().__init__(sim, capacity, name)
-        self._pheap: List[Tuple[float, int, Request]] = []
-        self._tick = itertools.count()
-
-    def request(self, priority: float = 0.0) -> Request:  # type: ignore[override]
-        req = Request(self)
-        req.priority = priority  # type: ignore[attr-defined]
-        if self._free_unit():
-            self._grant(req)
-        else:
-            heapq.heappush(self._pheap, (priority, next(self._tick), req))
-            self.peak_queue_len = max(self.peak_queue_len, len(self._pheap))
-        return req
-
-    def _free_unit(self) -> bool:
-        return self._in_use < self.capacity and not self._pheap
-
-    @property
-    def queue_len(self) -> int:  # type: ignore[override]
-        return sum(1 for _, _, r in self._pheap if not r.cancelled)
-
-    def _pop_next(self) -> Optional[Request]:
-        while self._pheap:
-            _, _, req = heapq.heappop(self._pheap)
-            if not req.cancelled:
-                return req
-        return None
-
-    def _drop(self, req: Request) -> None:
-        pass  # lazy removal via the cancelled flag
+        queue = self._queue
+        while queue and self._in_use < self.capacity:
+            self._grant(queue.popleft())
 
 
 class Container:
-    """A divisible quantity with blocking ``get``.
+    """A divisible quantity that never blocks.
 
-    ``put`` never blocks (capacity overruns raise), which matches its
-    use for memory accounting where the interesting behaviour —
-    swapping — is modelled by the caller inspecting :attr:`level`.
+    ``put`` raises on a capacity overrun and ``try_get`` refuses a
+    withdrawal the level cannot cover, which matches its use for
+    memory accounting where the interesting behaviour — swapping — is
+    modelled by the caller inspecting :attr:`level`.
     """
 
     def __init__(
@@ -294,7 +229,6 @@ class Container:
         self.capacity = capacity
         self.name = name
         self._level = init
-        self._waiters: Deque[Tuple[float, Event]] = deque()
         self.peak_level = init
 
     @property
@@ -312,62 +246,10 @@ class Container:
             )
         self._level += amount
         self.peak_level = max(self.peak_level, self._level)
-        self._drain()
-
-    def get(self, amount: float) -> Event:
-        """Return an event that fires once *amount* can be withdrawn."""
-        if amount < 0:
-            raise SimulationError("negative get")
-        ev = Event(self.sim)
-        if not self._waiters and self._level >= amount:
-            self._level -= amount
-            ev.succeed(value=amount)
-        else:
-            self._waiters.append((amount, ev))
-        return ev
 
     def try_get(self, amount: float) -> bool:
         """Withdraw immediately if possible; never blocks."""
-        if not self._waiters and self._level >= amount:
+        if self._level >= amount:
             self._level -= amount
             return True
         return False
-
-    def _drain(self) -> None:
-        while self._waiters and self._level >= self._waiters[0][0]:
-            amount, ev = self._waiters.popleft()
-            self._level -= amount
-            ev.succeed(value=amount)
-
-
-class Store:
-    """FIFO queue of discrete items with blocking ``get``."""
-
-    def __init__(self, sim: Simulator, capacity: float = float("inf"), name: str = "store") -> None:
-        self.sim = sim
-        self.capacity = capacity
-        self.name = name
-        self._items: Deque[Any] = deque()
-        self._getters: Deque[Event] = deque()
-
-    def __len__(self) -> int:
-        return len(self._items)
-
-    def put(self, item: Any) -> bool:
-        """Append *item*; returns False (drop) when the store is full."""
-        if len(self._items) >= self.capacity:
-            return False
-        if self._getters:
-            self._getters.popleft().succeed(value=item)
-        else:
-            self._items.append(item)
-        return True
-
-    def get(self) -> Event:
-        """Return an event that fires with the next item."""
-        ev = Event(self.sim)
-        if self._items:
-            ev.succeed(value=self._items.popleft())
-        else:
-            self._getters.append(ev)
-        return ev

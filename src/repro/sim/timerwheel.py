@@ -11,9 +11,9 @@ calendar-queue-style structure that retains *nothing beyond the
 callback itself*:
 
 - ``slots`` — a dict mapping each *exact* float timestamp to the
-  entries pending at that instant.  An entry is the bare callback
-  (timers) or a one-tuple ``(event,)`` (full Events, which are much
-  rarer).  A slot holding a single entry stores it directly; a second
+  entries pending at that instant.  An entry is a callable: the bare
+  callback (timers) or a full Event's bound ``_fire`` (much rarer).
+  A slot holding a single entry stores it directly; a second
   same-instant arrival promotes the slot to a list in FIFO order.
 - ``keys`` — a min-heap of the occupied slot timestamps, one float per
   distinct instant.  Heap operations compare bare floats (a single
@@ -160,8 +160,8 @@ class TimerWheel:
       holds the kernel's ready list and its key is off the heap until
       the drain ends (see ``kernel.py``);
     - ``slots[when]`` is a bare entry or a list of two or more entries
-      in FIFO order, where an entry is a callable (a timer callback or
-      :data:`TOMBSTONE`) or a one-tuple ``(event,)``.  Two exceptions:
+      in FIFO order, where an entry is a callable (a timer callback,
+      an Event's bound ``_fire`` or :data:`TOMBSTONE`).  Two exceptions:
       ``step`` may leave a one-entry list behind the entry it popped,
       and the only empty list a slot ever holds is the kernel's ready
       list while the instant's lone entry runs;

@@ -258,9 +258,12 @@ def old_race(sim, proc, seconds):
 
 
 def old_free_memory(resources, amount):
-    taken = resources.memory.get(amount)
-    if not taken.triggered:
+    # frozen: what the blocking Container.get did with no waiter queued
+    # -- withdraw at once, then schedule a zero-delay grant Event that
+    # nothing waits on
+    if not resources.memory.try_get(amount):
         raise RuntimeError(f"{resources.spec.name}: freeing unallocated memory")
+    Event(resources.sim).succeed(value=amount)
 
 
 # ---------------------------------------------------------------------------

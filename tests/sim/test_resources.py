@@ -1,8 +1,9 @@
-"""Tests for Resource, PriorityResource, Container and Store."""
+"""Tests for Resource (claims and the occupancy ledger) and Container."""
 
 import pytest
 
-from repro.sim import Container, PriorityResource, Resource, Simulator, SimulationError, Store
+from repro.core.cohort import CohortMeter
+from repro.sim import Container, Resource, Simulator, SimulationError
 
 
 def hold(sim, res, duration, log, name):
@@ -97,20 +98,6 @@ def test_double_release_raises():
         res.release(req)
 
 
-def test_cancel_queued_request_skips_grant():
-    sim = Simulator()
-    res = Resource(sim, capacity=1)
-    first = res.request()
-    second = res.request()
-    third = res.request()
-    second.cancel()
-    sim.run()
-    res.release(first)
-    sim.run()
-    assert third.processed
-    assert not second.processed
-
-
 def test_release_ungranted_request_raises():
     sim = Simulator()
     res = Resource(sim, capacity=1)
@@ -137,31 +124,29 @@ def test_claim_takes_a_free_unit_and_schedules_nothing():
 
 
 def test_bare_release_cannot_free_a_unit_held_by_a_request():
-    for res_cls in (Resource, PriorityResource):
-        sim = Simulator()
-        res = res_cls(sim, capacity=2)
-        held = res.request()
-        assert res.claim()
-        res.release()  # the claimed unit
-        with pytest.raises(SimulationError, match="never taken"):
-            res.release()  # would steal `held`'s unit
-        assert (res.in_use, res.total_grants) == (1, 2)
-        res.release(held)
-        assert res.in_use == 0
+    sim = Simulator()
+    res = Resource(sim, capacity=2)
+    held = res.request()
+    assert res.claim()
+    res.release()  # the claimed unit
+    with pytest.raises(SimulationError, match="never taken"):
+        res.release()  # would steal `held`'s unit
+    assert (res.in_use, res.total_grants) == (1, 2)
+    res.release(held)
+    assert res.in_use == 0
 
 
 def test_claim_never_jumps_the_queue():
-    for res_cls in (Resource, PriorityResource):
-        sim = Simulator()
-        res = res_cls(sim, capacity=1)
-        first = res.request()
-        queued = res.request()
-        res.release(first)  # grants `queued`, which is still pending
-        assert not res.claim()
-        sim.run()
-        assert queued.processed
-        res.release(queued)
-        assert res.claim()
+    sim = Simulator()
+    res = Resource(sim, capacity=1)
+    first = res.request()
+    queued = res.request()
+    res.release(first)  # grants `queued`, which is still pending
+    assert not res.claim()
+    sim.run()
+    assert queued.processed
+    res.release(queued)
+    assert res.claim()
 
 
 def test_acquire_reports_only_queued_waits():
@@ -190,77 +175,44 @@ def test_acquire_reports_only_queued_waits():
     assert (res.total_grants, res.peak_queue_len, res.busy_integral()) == (2, 1, 1.5)
 
 
-def test_priority_resource_orders_by_priority():
-    sim = Simulator()
-    res = PriorityResource(sim, capacity=1)
-    order = []
-
-    def grab(name, prio):
-        req = res.request(priority=prio)
-        yield req
-        order.append(name)
-        yield sim.timeout(1.0)
-        res.release(req)
-
-    def spawn():
-        # occupy first, then queue others while busy
-        yield sim.timeout(0)
-
-    blocker = res.request()
-    sim.process(grab("low", 5))
-    sim.process(grab("high", 1))
-    sim.process(grab("mid", 3))
-    sim.run()
-    res.release(blocker)
-    sim.run()
-    assert order == ["high", "mid", "low"]
-
-
-def test_priority_fifo_within_same_priority():
-    sim = Simulator()
-    res = PriorityResource(sim, capacity=1)
-    order = []
-
-    def grab(name):
-        req = res.request(priority=1)
-        yield req
-        order.append(name)
-        yield sim.timeout(1.0)
-        res.release(req)
-
-    blocker = res.request()
-    for name in "abc":
-        sim.process(grab(name))
-    sim.run()
-    res.release(blocker)
-    sim.run()
-    assert order == ["a", "b", "c"]
-
-
 def test_container_put_get():
     sim = Simulator()
     box = Container(sim, capacity=100.0, init=10.0)
-    got = box.get(5.0)
-    sim.run()
-    assert got.processed and box.level == 5.0
+    assert box.try_get(5.0)
+    assert box.level == 5.0
     box.put(20.0)
     assert box.level == 25.0
     assert box.peak_level == 25.0
 
 
-def test_container_get_blocks_until_put():
+def test_account_weight_one_without_meter_changes_nothing():
     sim = Simulator()
-    box = Container(sim, capacity=100.0)
-    woke = []
+    res = Resource(sim, capacity=2)
+    sim.run(until=1.0)
+    res.account(0.5, 1)  # exact mode: one member, no meter
+    assert res.busy_integral() == 0.0
 
-    def getter(sim):
-        yield box.get(30.0)
-        woke.append(sim.now)
 
-    sim.process(getter(sim))
-    sim.call_in(4.0, lambda: box.put(30.0))
-    sim.run()
-    assert woke == [4.0]
+def test_account_posts_hidden_members_then_meters_the_hold():
+    sim = Simulator()
+    res = Resource(sim, capacity=2)
+    meter = CohortMeter(weight=4)
+    sim.run(until=1.0)
+    res.account(0.5, 4, meter)  # the representative plus 3 hidden members
+    assert res.busy_integral() == 3 * 0.5
+    assert meter.demands == {res: [4 * 0.5, 0.5]}
+    # occupancy is untouched: the hidden members hold no unit
+    assert (res.in_use, res.queue_len, res.total_grants) == (0, 0, 0)
+
+
+def test_account_rejects_a_negative_hold():
+    sim = Simulator()
+    res = Resource(sim, capacity=1)
+    meter = CohortMeter(weight=4)
+    with pytest.raises(SimulationError, match="negative hold"):
+        res.account(-0.1, 4, meter)
+    assert res.busy_integral() == 0.0
+    assert meter.demands == {}
 
 
 def test_container_overflow_raises():
@@ -276,54 +228,3 @@ def test_container_try_get():
     assert box.try_get(2.0)
     assert not box.try_get(2.0)
     assert box.level == 1.0
-
-
-def test_container_fifo_fairness():
-    sim = Simulator()
-    box = Container(sim, capacity=100.0)
-    order = []
-
-    def getter(name, amount):
-        yield box.get(amount)
-        order.append(name)
-
-    sim.process(getter("big", 50.0))
-    sim.process(getter("small", 1.0))
-    sim.call_in(1.0, lambda: box.put(60.0))
-    sim.run()
-    # FIFO: the big request at the head is served first even though the
-    # small one could have been satisfied earlier.
-    assert order == ["big", "small"]
-
-
-def test_store_put_get_fifo():
-    sim = Simulator()
-    store = Store(sim)
-    store.put("a")
-    store.put("b")
-    g1, g2 = store.get(), store.get()
-    sim.run()
-    assert (g1.value, g2.value) == ("a", "b")
-
-
-def test_store_get_blocks_until_put():
-    sim = Simulator()
-    store = Store(sim)
-    got = []
-
-    def getter(sim):
-        item = yield store.get()
-        got.append((item, sim.now))
-
-    sim.process(getter(sim))
-    sim.call_in(2.0, lambda: store.put("late"))
-    sim.run()
-    assert got == [("late", 2.0)]
-
-
-def test_store_capacity_drops_when_full():
-    sim = Simulator()
-    store = Store(sim, capacity=2)
-    assert store.put(1) and store.put(2)
-    assert not store.put(3)
-    assert len(store) == 2
