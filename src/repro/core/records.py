@@ -18,6 +18,10 @@ class ClientReport:
     client derives from its base measurement.
     """
 
+    # a cohort world's result holds tens of thousands of these; the
+    # ``slots=`` argument of ``dataclass`` needs Python 3.10
+    __slots__ = ("client_id", "status", "numbytes", "response_time_s", "normalized_s")
+
     client_id: str
     status: Status
     numbytes: float
@@ -28,6 +32,11 @@ class ClientReport:
     def timed_out(self) -> bool:
         """True when the 10 s kill timer fired."""
         return self.status is Status.CLIENT_TIMEOUT
+
+    def __reduce__(self):
+        # pickle and copy would restore slots by setattr, which a frozen
+        # dataclass refuses: rebuild through __init__ instead
+        return ClientReport, tuple(getattr(self, name) for name in self.__slots__)
 
 
 class EpochLabel(enum.Enum):

@@ -4,11 +4,22 @@ The cooperating-site experiments (paper §4) depend on server logs: the
 operators' logs let the authors verify request synchronization
 (Figure 3, Table 2) and measure background-traffic volume during each
 stage (Tables 3a/3b).  Every simulated server keeps an equivalent log.
+
+A world logs every request it serves, tens of thousands per cohort
+world, and reads the log only in the analyses afterwards.  So the log
+is stored by column: packed ``array`` columns for the times, byte
+counts and request ids, one-byte codes for status and MFC flag, and
+lists of the shared client-id, method and path objects, about 60 bytes
+a record where a tuple per record costs 180.  :class:`LogRecord` is the
+read type: :attr:`AccessLog.records` builds a fresh list of records on
+each read, so write only through :meth:`AccessLog.log`.
 """
 
 from __future__ import annotations
 
-from typing import List, NamedTuple, Optional, Sequence
+import math
+from array import array
+from typing import Iterable, List, NamedTuple, Optional, Sequence
 
 from repro.server.http import HTTPRequest, Method, Status
 
@@ -27,11 +38,30 @@ class LogRecord(NamedTuple):
     request_id: int
 
 
+#: status column codes: one byte per record
+_STATUSES = tuple(Status)
+_STATUS_CODE = {status: code for code, status in enumerate(_STATUSES)}
+
+
 class AccessLog:
     """Append-only request log with the paper's analyses built in."""
 
-    def __init__(self) -> None:
-        self.records: List[LogRecord] = []
+    def __init__(self, records: Iterable[LogRecord] = ()) -> None:
+        """An empty log, or one holding *records* in order (a merge)."""
+        (
+            arrival, client_id, method, path, status,
+            bytes_sent, completion, is_mfc, request_id,
+        ) = tuple(zip(*records)) or ((),) * len(LogRecord._fields)
+        self._arrival = array("d", arrival)
+        self._client_id: List[str] = list(client_id)
+        self._method: List[Method] = list(method)
+        self._path: List[str] = list(path)
+        self._status = bytearray(_STATUS_CODE[s] for s in status)
+        self._bytes_sent = array("d", bytes_sent)
+        #: NaN stands for a request that never completed
+        self._completion = array("d", [math.nan if c is None else c for c in completion])
+        self._is_mfc = bytearray(is_mfc)
+        self._request_id = array("q", request_id)
 
     def log(
         self,
@@ -42,24 +72,42 @@ class AccessLog:
         completion_time: Optional[float] = None,
     ) -> None:
         """Append one record."""
-        # positional, in field order: one call per request, and keyword
-        # arguments cost a NamedTuple half again as much
-        self.records.append(
-            LogRecord(
-                arrival_time,
-                request.client_id,
-                request.method,
-                request.path,
-                status,
-                bytes_sent,
-                completion_time,
-                request.is_mfc,
-                request.request_id,
-            )
-        )
+        self._arrival.append(arrival_time)
+        self._client_id.append(request.client_id)
+        self._method.append(request.method)
+        self._path.append(request.path)
+        self._status.append(_STATUS_CODE[status])
+        self._bytes_sent.append(bytes_sent)
+        self._completion.append(math.nan if completion_time is None else completion_time)
+        self._is_mfc.append(request.is_mfc)
+        self._request_id.append(request.request_id)
 
     def __len__(self) -> int:
-        return len(self.records)
+        return len(self._arrival)
+
+    @property
+    def records(self) -> List[LogRecord]:
+        """Every record in log order (a fresh list on each call)."""
+        return [
+            LogRecord(
+                arrival,
+                client_id,
+                method,
+                path,
+                _STATUSES[status],
+                bytes_sent,
+                None if math.isnan(completion) else completion,
+                is_mfc != 0,
+                request_id,
+            )
+            for (
+                arrival, client_id, method, path, status,
+                bytes_sent, completion, is_mfc, request_id,
+            ) in zip(
+                self._arrival, self._client_id, self._method, self._path, self._status,
+                self._bytes_sent, self._completion, self._is_mfc, self._request_id,
+            )
+        ]
 
     # -- selections -------------------------------------------------------------
 

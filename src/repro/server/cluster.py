@@ -103,13 +103,11 @@ class LoadBalancedCluster:
     def combined_log(self) -> AccessLog:
         """Merge per-server logs, time-ordered (the paper collected
         "server logs … from all 16 servers")."""
-        merged = AccessLog()
         records: List[LogRecord] = []
         for server in self.servers:
             records.extend(server.access_log.records)
         records.sort(key=lambda r: (r.arrival_time, r.request_id))
-        merged.records = records
-        return merged
+        return AccessLog(records)
 
     def __len__(self) -> int:
         return len(self.servers)

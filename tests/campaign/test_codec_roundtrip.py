@@ -5,6 +5,7 @@ registry stages like "Upload" — so these round-trips are what keeps
 cached campaign records decodable and byte-stable across releases.
 """
 
+import dataclasses
 import json
 
 import pytest
@@ -105,8 +106,8 @@ def test_full_roundtrip_preserves_every_field():
             assert b.label is a.label
             assert b.crowd_size == a.crowd_size
             assert b.aggregate_normalized_s == a.aggregate_normalized_s
-            assert [r.__dict__ for r in b.reports] == [
-                r.__dict__ for r in a.reports
+            assert [dataclasses.asdict(r) for r in b.reports] == [
+                dataclasses.asdict(r) for r in a.reports
             ]
     # the whole document is byte-stable through a decode→encode cycle
     assert canonical(encode_result(decoded, detail=FULL)) == canonical(
@@ -169,7 +170,7 @@ def test_float_fidelity_through_json_text():
     determinism-parity property the caches rely on)."""
     stage = make_stage("Base")
     awkward = 0.1 + 0.2  # 0.30000000000000004
-    stage.epochs[0].reports[0].__dict__["normalized_s"] = awkward
+    object.__setattr__(stage.epochs[0].reports[0], "normalized_s", awkward)
     text = json.dumps(encode_result(stage, detail=FULL))
     decoded = decode_result(json.loads(text))
     assert decoded.epochs[0].reports[0].normalized_s == awkward
