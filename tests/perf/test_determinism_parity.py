@@ -131,6 +131,26 @@ CROWD_MODE_DIGESTS = [
     ("lab", "cohort", "storm", ("Base",),
      {"use_naive_scheduling": True, "control_loss_prob": 0.05},
      "8c5fce10f75da4c5f26990644c96c99d349e3e1e46c31a6617953f6fe5c9539e"),
+    # the remaining build shapes: a load-balanced cluster behind a shared
+    # mid-path bottleneck with background and monitor, and the indicator
+    # world with and without a background override
+    ("qtp", "exact", None, ("LargeObject", "SmallQuery"),
+     {"fleet": FleetSpec(n_clients=40, bottleneck_group="transit",
+                         bottleneck_fraction=0.4),
+      "bottleneck_capacity_bps": 40e6, "background_rps": 35.0,
+      "monitor_interval_s": 0.5},
+     "e24a4f8ceafc285c8d9bea6943ce57a7ef89cc12a6d2a413e9b64f60542e2d6b"),
+    ("qtp", "cohort", None, ("LargeObject", "SmallQuery"),
+     {"fleet": FleetSpec(n_clients=40, bottleneck_group="transit",
+                         bottleneck_fraction=0.4),
+      "bottleneck_capacity_bps": 40e6, "background_rps": 35.0,
+      "monitor_interval_s": 0.5},
+     "c46c1c3ba898450d3526b6fc1212659d73a653c2df261ac0c729a6437e288a13"),
+    ("qtnp", "indicator", None, None, {"indicator": True},
+     "d1120578d8feb4665e02acdcb7eb70fff4ef5df0c0f568e0d62b3ec115c67df7"),
+    ("lab", "indicator", None, None,
+     {"indicator": True, "background_rps": 12.0},
+     "d608387178aea9a0028367ce7e61f475e3e4647fe29b5fc5045b7400aece566a"),
 ]
 
 
@@ -144,7 +164,7 @@ CROWD_MODE_DIGESTS = [
 def test_crowd_mode_world_digests_are_byte_stable(
     scenario, mode, fault, stages, extra, digest
 ):
-    spec = WorldSpec(
+    fields = dict(
         scenario=SCENARIO_PRESETS[scenario](),
         fleet=FleetSpec(n_clients=40),
         config=MFCConfig(
@@ -156,10 +176,10 @@ def test_crowd_mode_world_digests_are_byte_stable(
         ),
         seed=7,
         stages=stages,
-        crowd_mode=None if mode == "exact" else mode,
+        crowd_mode="cohort" if mode == "cohort" else None,
         faults=FAULT_PRESETS[fault]() if fault else None,
-        **extra,
     )
+    spec = WorldSpec(**{**fields, **extra})
     canonical = _canonical(spec.build().run())
     assert hashlib.sha256(canonical.encode("utf-8")).hexdigest() == digest
 
