@@ -11,18 +11,18 @@ and read arrivals off the server access log.
 from benchmarks.conftest import emit, sweep_config
 from repro.analysis.figures import ascii_series
 from repro.analysis.tables import TextTable
-from repro.core.runner import MFCRunner
 from repro.core.stages import StageKind
 from repro.server.presets import lab_validation_server
 from repro.workload.fleet import FleetSpec
+from repro.worlds.spec import WorldSpec
 
 CROWD = 45
 
 
 def run_experiment(seed=1):
-    runner = MFCRunner.build(
-        lab_validation_server(),
-        fleet_spec=FleetSpec(
+    runner = WorldSpec(
+        scenario=lab_validation_server(),
+        fleet=FleetSpec(
             n_clients=65,
             unresponsive_fraction=0.0,
             jitter_range=(0.01, 0.05),
@@ -30,7 +30,7 @@ def run_experiment(seed=1):
         config=sweep_config(max_crowd=CROWD, step=CROWD, min_clients=50),
         stages=("Base",),
         seed=seed,
-    )
+    ).build()
     result = runner.run()
     stage = result.stage(StageKind.BASE.value)
     epoch = next(e for e in stage.epochs if e.crowd_size == CROWD)

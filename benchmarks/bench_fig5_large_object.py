@@ -10,22 +10,22 @@ network bandwidth alone explains the degradation.
 from benchmarks.conftest import emit, lan_fleet, sweep_config
 from repro.analysis.figures import ascii_series
 from repro.analysis.tables import TextTable
-from repro.core.runner import MFCRunner
 from repro.core.stages import StageKind
 from repro.server.presets import lab_validation_server
+from repro.worlds.spec import WorldSpec
 
 MAX_CROWD = 50
 
 
 def run_experiment(seed=3):
-    runner = MFCRunner.build(
-        lab_validation_server(),
-        fleet_spec=lan_fleet(MAX_CROWD + 5),
+    runner = WorldSpec(
+        scenario=lab_validation_server(),
+        fleet=lan_fleet(MAX_CROWD + 5),
         config=sweep_config(max_crowd=MAX_CROWD),
         stages=("LargeObject",),
         monitor_interval_s=1.0,
         seed=seed,
-    )
+    ).build()
     result = runner.run()
     stage = result.stage(StageKind.LARGE_OBJECT.value)
     monitor = runner.monitor

@@ -9,11 +9,11 @@ NoStop at 150.
 from benchmarks.conftest import emit
 from repro.analysis.tables import TextTable
 from repro.core.config import MFCConfig
-from repro.core.runner import MFCRunner
 from repro.core.stages import StageKind
 from repro.core.variants import mfc_mr_config
 from repro.server.presets import qtnp_server
 from repro.workload.fleet import FleetSpec
+from repro.worlds.spec import WorldSpec
 
 FLEET = FleetSpec(n_clients=65, unresponsive_fraction=0.05)
 #: the MFC-mr run needs 75+ live clients to reach 150 requests
@@ -21,12 +21,12 @@ FLEET_MR = FleetSpec(n_clients=82, unresponsive_fraction=0.05)
 
 
 def run_standard(seed=1):
-    runner = MFCRunner.build(
-        qtnp_server(),
-        fleet_spec=FLEET,
+    runner = WorldSpec(
+        scenario=qtnp_server(),
+        fleet=FLEET,
         config=MFCConfig(min_clients=50, max_crowd=55),
         seed=seed,
-    )
+    ).build()
     return runner.run()
 
 
@@ -36,9 +36,9 @@ def run_mfc_mr(seed=1):
         requests_per_client=2,
         max_crowd=150,
     )
-    runner = MFCRunner.build(
-        qtnp_server(), fleet_spec=FLEET_MR, config=config, seed=seed
-    )
+    runner = WorldSpec(
+        scenario=qtnp_server(), fleet=FLEET_MR, config=config, seed=seed
+    ).build()
     return runner.run()
 
 

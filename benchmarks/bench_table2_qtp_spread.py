@@ -10,11 +10,11 @@ Object).  No stage moved the median response time by even 10 ms.
 
 from benchmarks.conftest import emit, sweep_config
 from repro.analysis.tables import TextTable
-from repro.core.runner import MFCRunner
 from repro.core.stages import StageKind
 from repro.core.records import EpochLabel
 from repro.server.presets import qtp_cluster
 from repro.workload.fleet import FleetSpec
+from repro.worlds.spec import WorldSpec
 
 REQUESTS_PER_CLIENT = 5
 FLEET = FleetSpec(n_clients=80, unresponsive_fraction=0.05)
@@ -27,14 +27,14 @@ def run_stage(kind, seed=7):
         min_clients=50,
         requests_per_client=REQUESTS_PER_CLIENT,
     )
-    runner = MFCRunner.build(
-        qtp_cluster(),
-        fleet_spec=FLEET,
+    runner = WorldSpec(
+        scenario=qtp_cluster(),
+        fleet=FLEET,
         config=config,
         stages=(kind.value,),
         control_loss_prob=0.02,  # a lossy control plane loses commands
         seed=seed,
-    )
+    ).build()
     result = runner.run()
     stage = result.stage(kind.value)
     log = runner.combined_access_log()

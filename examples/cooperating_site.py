@@ -12,12 +12,13 @@ synchronization and background-traffic levels.
 Run:  python examples/cooperating_site.py
 """
 
-from repro.core import MFCConfig, MFCRunner, infer_constraints
+from repro.core import MFCConfig, infer_constraints
 from repro.core.records import EpochLabel
 from repro.core.stages import StageKind
 from repro.core.variants import mfc_mr_config
 from repro.server.presets import univ3_server
 from repro.workload.fleet import FleetSpec
+from repro.worlds.spec import WorldSpec
 
 
 def run_at(background_rps: float, seed: int = 13):
@@ -26,12 +27,12 @@ def run_at(background_rps: float, seed: int = 13):
         requests_per_client=2,   # MFC-mr: two parallel connections
         max_crowd=150,
     )
-    runner = MFCRunner.build(
-        univ3_server().with_background(background_rps),
-        fleet_spec=FleetSpec(n_clients=82, unresponsive_fraction=0.05),
+    runner = WorldSpec(
+        scenario=univ3_server().with_background(background_rps),
+        fleet=FleetSpec(n_clients=82, unresponsive_fraction=0.05),
         config=config,
         seed=seed,
-    )
+    ).build()
     return runner, runner.run()
 
 

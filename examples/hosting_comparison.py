@@ -11,11 +11,12 @@ stopping sizes rank them per sub-system.
 from dataclasses import replace
 
 from repro.analysis.tables import TextTable
-from repro.core import MFCConfig, MFCRunner
+from repro.core import MFCConfig
 from repro.core.stages import StageKind
 from repro.net.tcp import mbps
 from repro.server.presets import qtnp_server
 from repro.workload.fleet import FleetSpec
+from repro.worlds.spec import WorldSpec
 
 FLEET = FleetSpec(n_clients=65, unresponsive_fraction=0.05)
 CONFIG = MFCConfig(threshold_s=0.100, min_clients=50, max_crowd=55)
@@ -38,7 +39,9 @@ def main() -> None:
         title="Hosting comparison: MFC stopping crowd sizes (higher / NoStop = better)",
     )
     for scenario in deployments():
-        runner = MFCRunner.build(scenario, fleet_spec=FLEET, config=CONFIG, seed=3)
+        runner = WorldSpec(
+            scenario=scenario, fleet=FLEET, config=CONFIG, seed=3
+        ).build()
         result = runner.run()
         table.add_row(
             scenario.name,

@@ -8,9 +8,10 @@ the stopping crowd sizes plus the inferred resource constraints.
 Run:  python examples/quickstart.py
 """
 
-from repro.core import MFCConfig, MFCRunner, infer_constraints
+from repro.core import MFCConfig, infer_constraints
 from repro.server.presets import qtnp_server
 from repro.workload.fleet import FleetSpec
+from repro.worlds.spec import WorldSpec
 
 
 def main() -> None:
@@ -20,12 +21,12 @@ def main() -> None:
 
     # 2. assemble a world: 65 PlanetLab-like clients, a coordinator,
     #    background traffic, everything seeded and deterministic
-    runner = MFCRunner.build(
-        scenario,
-        fleet_spec=FleetSpec(n_clients=65, unresponsive_fraction=0.05),
+    runner = WorldSpec(
+        scenario=scenario,
+        fleet=FleetSpec(n_clients=65, unresponsive_fraction=0.05),
         config=MFCConfig(threshold_s=0.100, min_clients=50, max_crowd=55),
         seed=1,
-    )
+    ).build()
     print(f"profiled content: {runner.profile.summary()}")
     print(f"stages to run: {[s.name for s in runner.stages]}\n")
 

@@ -24,18 +24,27 @@ The package is layered bottom-up:
   registries of named scenario/fleet/synthetic-server components.
 - :mod:`repro.campaign` — parallel experiment campaigns: declarative
   job grids, a process-pool executor with a deterministic sequential
-  fallback, and a resumable JSONL result cache.
+  fallback, and a resumable, sharded result store.
 - :mod:`repro.analysis` — statistics, table/figure renderers and the
   large-scale study driver.
 
 Quickstart::
 
-    from repro.core.runner import MFCRunner
-    from repro.server.presets import university_server
+    from repro.core import MFCConfig
+    from repro.server.presets import qtnp_server
+    from repro.workload.fleet import FleetSpec
+    from repro.worlds.spec import WorldSpec
 
-    runner = MFCRunner.build(server_spec=university_server(), seed=1)
+    runner = WorldSpec(
+        scenario=qtnp_server(),
+        fleet=FleetSpec(n_clients=65, unresponsive_fraction=0.05),
+        config=MFCConfig(threshold_s=0.100, min_clients=50, max_crowd=55),
+        seed=1,
+    ).build()
     result = runner.run()
     print(result.summary())
+
+(``examples/quickstart.py`` runs the same world.)
 """
 
 __version__ = "1.1.0"

@@ -40,7 +40,7 @@ meter, reporting over the control channel — while cohort mode groups
 with :func:`group_cohorts` and synthesizes every member's report.
 
 When exact mode is still required: synthetic-service worlds (no
-server pipeline to meter) silently fall back, and studies that care
+server pipeline to meter) always run exact, and studies that care
 about *individual* client microbehaviour (per-client fault forensics,
 access-log order) should pin ``crowd_mode="exact"``.
 """
@@ -194,6 +194,35 @@ class CohortMeter:
             drain = epoch_drain.get(resource, 0.0)
             queue = max(queue, max(0.0, drain - per_member))
         return queue
+
+
+class CohortCrowd:
+    """What cohort mode adds to a coordinator: the stream member reports
+    are synthesized from, and one macro-flow access link per cohort key
+    on the world's network, reused across epochs."""
+
+    __slots__ = ("network", "rng", "target_name", "_pipes")
+
+    def __init__(self, network, rng, target_name: str) -> None:
+        self.network = network
+        self.rng = rng
+        #: names the pipes (``cohort:<target>:<n>``)
+        self.target_name = target_name
+        self._pipes: Dict[Tuple, object] = {}
+
+    def pipe(self, cohort: "Cohort"):
+        """Get or create the cohort's macro-flow access link, sized to
+        the whole cohort's aggregate access capacity this epoch."""
+        capacity = cohort.weight * cohort.rep.node.spec.access_bps
+        pipe = self._pipes.get(cohort.key)
+        if pipe is None:
+            pipe = self.network.add_link(
+                f"cohort:{self.target_name}:{len(self._pipes)}", capacity
+            )
+            self._pipes[cohort.key] = pipe
+        else:
+            self.network.set_capacity(pipe, capacity)
+        return pipe
 
 
 @dataclass

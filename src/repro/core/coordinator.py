@@ -36,6 +36,7 @@ from typing import Dict, Generator, List, Optional, Sequence, Tuple
 from repro.core.client import MFCClient, RequestCommand
 from repro.core.cohort import (
     Cohort,
+    CohortCrowd,
     CohortMeter,
     epoch_drain_s,
     epoch_ramp_fraction,
@@ -90,14 +91,12 @@ class Coordinator:
         clients: Sequence[MFCClient],
         control: ControlChannel,
         config: MFCConfig,
+        rng: random.Random,
         target_name: str = "target",
-        rng: Optional[random.Random] = None,
         use_naive_scheduling: bool = False,
         planner: Optional[PlannerSpec] = None,
         hardened: bool = False,
-        crowd_mode: str = "exact",
-        network=None,
-        cohort_rng: Optional[random.Random] = None,
+        cohorts: Optional[CohortCrowd] = None,
     ) -> None:
         config.validate()
         self.sim = sim
@@ -113,23 +112,14 @@ class Coordinator:
         # probe-instantiate so bad parameter *values* (not just names)
         # surface at world-build time, not epochs into the run
         self.planner.make(config)
-        self._rng = rng if rng is not None else random.Random(0)
+        self._rng = rng
         #: ablation knob: dispatch all commands immediately instead of
         #: using the synchronization arithmetic
         self.use_naive_scheduling = use_naive_scheduling
         self.scheduler = SyncScheduler(config.stagger_interval_s)
-        #: "cohort": homogeneous crowd members collapse into weighted
-        #: macro-flows (see :mod:`repro.core.cohort`); needs the fluid
-        #: network for macro-flow pipes — synthetic-service worlds pass
-        #: network=None and silently stay exact
-        self.crowd_mode = crowd_mode if network is not None else "exact"
-        self.network = network
-        self._cohort_rng = (
-            cohort_rng if cohort_rng is not None else random.Random(0)
-        )
-        #: cohort key → dedicated macro-flow access link, reused across
-        #: epochs with per-epoch capacity = weight × member access bps
-        self._cohort_pipes: Dict[Tuple, object] = {}
+        #: cohort mode (None: exact): homogeneous crowd members collapse
+        #: into weighted macro-flows (see :mod:`repro.core.cohort`)
+        self.cohorts = cohorts
         self._mailbox = Mailbox()
         self._epoch_seq = 0
         #: client id → position in the registration-time live list
@@ -287,7 +277,7 @@ class Coordinator:
         """Partition *clients* into fan-out groups, in their order:
         weighted cohorts, or (exact mode) singletons that are their own
         representative, weight 1, with no meter."""
-        if self.crowd_mode == "cohort":
+        if self.cohorts is not None:
             return group_cohorts(clients, live, stage)
         return [
             Cohort(
@@ -404,14 +394,12 @@ class Coordinator:
             )
             plans = self.scheduler.plan(now, target_time, rep_estimates)
 
-        cohort_mode = self.crowd_mode == "cohort"
+        cohorts = self.cohorts
         # one plan per group, in group order
         for group, plan in zip(groups, plans):
             rep = group.rep
-            if cohort_mode:
-                group.meter = CohortMeter(
-                    group.weight, pipe=self._cohort_pipe(group)
-                )
+            if cohorts is not None:
+                group.meter = CohortMeter(group.weight, pipe=cohorts.pipe(group))
             command = RequestCommand(
                 epoch_key=epoch_key,
                 path=group.paths[rep.client_id],
@@ -438,7 +426,7 @@ class Coordinator:
         yield max(drain_until - self.sim.now, 0.0)
 
         reports = self._mailbox.collect(epoch_key)
-        if cohort_mode:
+        if cohorts is not None:
             # representatives never report over the control channel in
             # cohort mode; everything is synthesized here
             drain = epoch_drain_s(groups)
@@ -448,7 +436,7 @@ class Coordinator:
                     synthesize_cohort_reports(
                         group,
                         self.config,
-                        self._cohort_rng,
+                        cohorts.rng,
                         self.control.loss_prob,
                         group.rep.fault_gate,
                         plan.intended_arrival,
@@ -477,17 +465,3 @@ class Coordinator:
             )
             epoch.degraded = epoch.aggregate_normalized_s > self.config.threshold_s
         return epoch
-
-    def _cohort_pipe(self, cohort: Cohort):
-        """Get or create the cohort's macro-flow access link, sized to
-        the whole cohort's aggregate access capacity this epoch."""
-        capacity = cohort.weight * cohort.rep.node.spec.access_bps
-        pipe = self._cohort_pipes.get(cohort.key)
-        if pipe is None:
-            pipe = self.network.add_link(
-                f"cohort:{self.target_name}:{len(self._cohort_pipes)}", capacity
-            )
-            self._cohort_pipes[cohort.key] = pipe
-        else:
-            self.network.set_capacity(pipe, capacity)
-        return pipe

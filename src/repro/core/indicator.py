@@ -38,9 +38,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Generator, List, Optional, Tuple
 
-from repro.content.classifier import ContentProfile
 from repro.core.client import MFCClient
+from repro.core.runner import World
 from repro.server.http import CACHE_BUST_MARKER, Method
+from repro.sim.process import Process
 
 #: HEAD samples of the base page (median + spread want a few draws)
 N_BASE_SAMPLES = 5
@@ -130,35 +131,22 @@ class IndicatorResult:
         )
 
 
-class IndicatorRunner:
+class IndicatorRunner(World):
     """A fully assembled indicator world: one probe client, one site.
 
-    Mirrors the :class:`~repro.core.runner.MFCRunner` surface that the
-    campaign executor touches (``run(time_limit_s)``), so indicator
-    jobs flow through the same pool, store and codec as full MFC jobs.
+    Shares the :class:`~repro.core.runner.World` lifecycle with
+    :class:`~repro.core.runner.MFCRunner` (``run(time_limit_s)``), so
+    indicator jobs flow through the same pool, store and codec as full
+    MFC jobs.
     """
 
-    def __init__(
-        self,
-        sim,
-        topology,
-        service,
-        servers,
-        client: MFCClient,
-        background,
-        profile: ContentProfile,
-        scenario,
-        world_spec=None,
-    ) -> None:
-        self.sim = sim
-        self.topology = topology
-        self.service = service
-        self.servers = servers
-        self.client = client
-        self.background = background
-        self.profile = profile
-        self.scenario = scenario
-        self.world_spec = world_spec
+    @property
+    def client(self) -> MFCClient:
+        """The one probe client."""
+        return self.clients[0]
+
+    def _driver(self) -> Process:
+        return self.sim.process(self._probe())
 
     # -- probe plan -----------------------------------------------------------
 
@@ -181,6 +169,7 @@ class IndicatorRunner:
 
     def _probe(self) -> Generator:
         """Process body: the whole sequential indicator pass."""
+        started = self.sim.now
         client = self.client
         gap = client.config.base_measure_gap_s
         profile = self.profile
@@ -242,7 +231,7 @@ class IndicatorRunner:
                 yield gap
             bust_get = median(busted)
 
-        return IndicatorFeatures(
+        features = IndicatorFeatures(
             rtt_s=rtt,
             base_latency_s=median(base_samples),
             base_jitter_s=max(base_samples) - min(base_samples),
@@ -255,23 +244,10 @@ class IndicatorRunner:
             large_bytes=large_bytes,
             bust_get_s=bust_get,
         )
-
-    # -- execution ------------------------------------------------------------
-
-    def run(self, time_limit_s: float = 1e7) -> IndicatorResult:
-        """Run the indicator pass to completion."""
-        started = self.sim.now
-        if self.background is not None:
-            self.background.start()
-        proc = self.sim.process(self._probe())
-        features = self.sim.run_until_complete(proc, limit=time_limit_s)
-        if self.background is not None:
-            self.background.stop()
-        self.sim.close()
         return IndicatorResult(
             target_name=self.scenario.name,
             features=features,
-            total_requests=self.client.requests_issued,
+            total_requests=client.requests_issued,
             started_at=started,
             ended_at=self.sim.now,
         )

@@ -9,7 +9,8 @@ from typing import Dict, List, Optional
 from repro.server.http import Status
 
 
-@dataclass(frozen=True)
+# a cohort world's result holds tens of thousands of these: slotted
+@dataclass(frozen=True, slots=True)
 class ClientReport:
     """One client's report for one request in one epoch.
 
@@ -17,10 +18,6 @@ class ClientReport:
     numbytes, response time)`` plus the normalized response time the
     client derives from its base measurement.
     """
-
-    # a cohort world's result holds tens of thousands of these; the
-    # ``slots=`` argument of ``dataclass`` needs Python 3.10
-    __slots__ = ("client_id", "status", "numbytes", "response_time_s", "normalized_s")
 
     client_id: str
     status: Status
@@ -32,11 +29,6 @@ class ClientReport:
     def timed_out(self) -> bool:
         """True when the 10 s kill timer fired."""
         return self.status is Status.CLIENT_TIMEOUT
-
-    def __reduce__(self):
-        # pickle and copy would restore slots by setattr, which a frozen
-        # dataclass refuses: rebuild through __init__ instead
-        return ClientReport, tuple(getattr(self, name) for name in self.__slots__)
 
 
 class EpochLabel(enum.Enum):

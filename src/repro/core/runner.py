@@ -1,14 +1,14 @@
-"""One-call experiment assembly.
+"""Assembled, ready-to-run experiment worlds.
 
-:class:`MFCRunner` is a fully assembled, ready-to-run experiment
-world: topology, server or cluster (or a synthetic validation server),
-background traffic, MFC clients, coordinator, optional resource
-monitor.  Assembly itself lives in the declarative world layer —
-:class:`~repro.worlds.spec.WorldSpec` is the single description of a
-world, and :meth:`MFCRunner.build` is a thin convenience wrapper that
-packs its arguments into a spec and calls ``WorldSpec.build()``.
+A :class:`World` holds what :meth:`~repro.worlds.spec.WorldSpec.build`
+wired together — topology, server or cluster (or a synthetic
+validation server), background traffic, clients, optional resource
+monitor and fault plan — and owns the run lifecycle every world
+shares.  :class:`MFCRunner` drives it with a coordinator and its
+stages; :class:`~repro.core.indicator.IndicatorRunner` with the
+sequential indicator probe.
 
-    runner = MFCRunner.build(qtnp_server(), seed=1)
+    runner = WorldSpec(scenario=qtnp_server(), seed=1).build()
     result = runner.run()
     print(result.summary())
     print(infer_constraints(result).summary())
@@ -16,41 +16,33 @@ packs its arguments into a spec and calls ``WorldSpec.build()``.
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence
+from typing import List
 
-from repro.content.classifier import ContentProfile
 from repro.core.client import MFCClient
-from repro.core.config import MFCConfig
 from repro.core.coordinator import Coordinator
-from repro.core.records import MFCResult
 from repro.core.stages import StagePlan
-from repro.net.topology import Topology
 from repro.server.cluster import LoadBalancedCluster
-from repro.server.monitor import ResourceMonitor
-from repro.server.presets import Scenario
-from repro.server.webserver import SimWebServer
-from repro.sim.kernel import Simulator
-from repro.workload.background import BackgroundTraffic
-from repro.workload.fleet import FleetSpec
+from repro.sim.process import Process
 
 
-class MFCRunner:
-    """A fully assembled experiment world."""
+class World:
+    """A fully assembled world and its run lifecycle: start the
+    background (and monitor and faults), run the driver process to
+    completion, stop, close the kernel.  Subclasses name the driver."""
 
     def __init__(
         self,
-        sim: Simulator,
-        topology: Topology,
+        *,
+        sim,
+        topology,
         service,
-        servers: List[SimWebServer],
+        servers,
         clients: List[MFCClient],
-        coordinator: Coordinator,
-        background: Optional[BackgroundTraffic],
-        stages: List[StagePlan],
-        profile: Optional[ContentProfile],
-        monitor: Optional[ResourceMonitor],
-        scenario: Optional[Scenario],
+        background,
+        profile,
+        scenario,
         world_spec=None,
+        monitor=None,
         faults=None,
     ) -> None:
         self.sim = sim
@@ -58,65 +50,22 @@ class MFCRunner:
         self.service = service
         self.servers = servers
         self.clients = clients
-        self.coordinator = coordinator
         self.background = background
-        self.stages = stages
         self.profile = profile
-        self.monitor = monitor
         self.scenario = scenario
         #: the :class:`~repro.worlds.spec.WorldSpec` this world was
         #: assembled from (None for hand-wired worlds)
         self.world_spec = world_spec
+        self.monitor = monitor
         #: the :class:`~repro.faults.inject.FaultInjector` scheduled on
         #: this world (None for fault-free worlds)
         self.faults = faults
 
-    # -- construction ---------------------------------------------------------
+    def _driver(self) -> Process:
+        raise NotImplementedError
 
-    @classmethod
-    def build(
-        cls,
-        scenario: Scenario,
-        fleet_spec: Optional[FleetSpec] = None,
-        config: Optional[MFCConfig] = None,
-        seed: int = 0,
-        stages: Optional[Sequence[str]] = None,
-        planner=None,
-        monitor_interval_s: Optional[float] = None,
-        control_loss_prob: float = 0.0,
-        use_naive_scheduling: bool = False,
-        bottleneck_capacity_bps: Optional[float] = None,
-        faults=None,
-    ) -> "MFCRunner":
-        """Assemble a world (thin wrapper over ``WorldSpec.build()``).
-
-        *stages* selects registry-named probe stages, in run order
-        (e.g. ``["Upload", "CacheBust"]``; default: the paper's three
-        stages the site supports).  *planner*
-        is a :class:`~repro.core.epochs.PlannerSpec` choosing the
-        epoch-progression strategy.  *monitor_interval_s* attaches an
-        ``atop``-style monitor to the (first) server.
-        """
-        from repro.worlds.spec import WorldSpec
-
-        return WorldSpec(
-            scenario=scenario,
-            fleet=fleet_spec if fleet_spec is not None else FleetSpec(),
-            config=config if config is not None else MFCConfig(),
-            seed=seed,
-            stages=tuple(stages) if stages is not None else None,
-            planner=planner,
-            monitor_interval_s=monitor_interval_s,
-            control_loss_prob=control_loss_prob,
-            use_naive_scheduling=use_naive_scheduling,
-            bottleneck_capacity_bps=bottleneck_capacity_bps,
-            faults=faults,
-        ).build()
-
-    # -- execution ------------------------------------------------------------
-
-    def run(self, time_limit_s: float = 1e7) -> MFCResult:
-        """Run the whole experiment to completion.
+    def run(self, time_limit_s: float = 1e7):
+        """Run the world to completion and return its driver's result.
 
         The kernel is closed once the result is in hand (see
         :meth:`~repro.sim.kernel.Simulator.close`): a world runs once.
@@ -127,8 +76,7 @@ class MFCRunner:
             self.monitor.start()
         if self.faults is not None:
             self.faults.start()
-        proc = self.coordinator.run(self.stages)
-        result = self.sim.run_until_complete(proc, limit=time_limit_s)
+        result = self.sim.run_until_complete(self._driver(), limit=time_limit_s)
         if self.background is not None:
             self.background.stop()
         if self.monitor is not None:
@@ -150,3 +98,17 @@ class MFCRunner:
         if isinstance(self.service, LoadBalancedCluster):
             return self.service.combined_log()
         return self.server.access_log
+
+
+class MFCRunner(World):
+    """A world driven by the MFC coordinator through its stages."""
+
+    def __init__(
+        self, *, coordinator: Coordinator, stages: List[StagePlan], **fields
+    ) -> None:
+        super().__init__(**fields)
+        self.coordinator = coordinator
+        self.stages = stages
+
+    def _driver(self) -> Process:
+        return self.coordinator.run(self.stages)

@@ -57,13 +57,16 @@ access link, each flow's fair share drops and response time climbs.
 from __future__ import annotations
 
 import math
-from bisect import bisect_left, bisect_right
+from bisect import bisect_left, bisect_right, insort
+from operator import attrgetter
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.sim.events import Event
 from repro.sim.kernel import SimulationError, Simulator, Timer
 
 _EPS = 1e-9
+#: the active-link list's sort key: registration order
+_link_index = attrgetter("index")
 
 
 class TransferAborted(Exception):
@@ -215,11 +218,8 @@ class Network:
         #: path compares a link's weight against this)
         self._active_weight = 0
         #: links with >= 1 active transfer, kept sorted by registration
-        #: index (maintained incrementally on transfer join/leave), and
-        #: their indices in the same order: the bisect key, a plain int
-        #: list because ``insort(key=)`` needs Python 3.10
+        #: index (maintained incrementally on transfer join/leave)
         self._active_links: List[Link] = []
-        self._active_indices: List[int] = []
         self._last_advance = sim.now
         #: the single armed completion timer (superseded ones are
         #: cancelled in place, not leaked)
@@ -364,10 +364,7 @@ class Network:
         self._active_weight += transfer.weight
         for link in transfer.links:
             if not link.transfers:
-                indices = self._active_indices
-                at = bisect_left(indices, link.index)
-                indices.insert(at, link.index)
-                self._active_links.insert(at, link)
+                insort(self._active_links, link, key=_link_index)
             link.transfers[transfer] = None
             link._weight += transfer.weight
 
@@ -385,9 +382,8 @@ class Network:
                 # for links the next allocation no longer visits
                 link._agg_rate = 0.0
                 link._weight = 0
-                at = bisect_left(self._active_indices, link.index)
-                del self._active_indices[at]
-                del self._active_links[at]
+                active = self._active_links
+                del active[bisect_left(active, link.index, key=_link_index)]
 
     def _mark_dirty(self) -> None:
         """Queue this instant's single allocation flush.

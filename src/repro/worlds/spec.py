@@ -10,12 +10,12 @@ resource monitor and background traffic — with canonical JSON
 encode/decode (:mod:`repro.worlds.codec`) and a stable SHA-256
 identity (:attr:`WorldSpec.spec_hash`).
 
-``WorldSpec.build()`` is the one assembly path: ``MFCRunner.build``
-delegates here, campaign world-jobs carry a spec verbatim, the
-benchmark harnesses assemble through it, and ``repro run --spec
-world.json`` turns any JSON document into a runnable world.  A world
-is a pure function of its spec: equal hashes mean byte-identical
-results.
+``WorldSpec.build()`` is the one assembly path, one skeleton for
+scenario, indicator and synthetic worlds: campaign world-jobs carry a
+spec verbatim, the benchmark harnesses assemble through it, and
+``repro run --spec world.json`` turns any JSON document into a
+runnable world.  A world is a pure function of its spec: equal hashes
+mean byte-identical results.
 """
 
 from __future__ import annotations
@@ -28,11 +28,12 @@ from repro.core.epochs import PlannerSpec
 from repro.core.stages import (
     DEFAULT_STAGE_NAMES,
     StageKind,
+    StagePlan,
     stages_named,
     validate_stage_names,
 )
 from repro.faults.spec import FaultSpec
-from repro.server.http import HEADER_BYTES
+from repro.server.http import HEADER_BYTES, Method
 from repro.server.presets import Scenario
 from repro.workload.fleet import FleetSpec
 from repro.worlds import codec
@@ -70,22 +71,6 @@ class SyntheticSpec:
             )
         if self.server_access_bps <= 0:
             raise ValueError("server access bandwidth must be positive")
-
-
-def _background_client_specs():
-    """The background-traffic nodes every scenario world carries."""
-    from repro.net.topology import ClientSpec
-
-    return [
-        ClientSpec(
-            client_id=f"bg{i:02d}",
-            rtt_to_target=0.030 + 0.01 * i,
-            rtt_to_coord=0.020,
-            access_bps=12.5e6,
-            jitter=0.05,
-        )
-        for i in range(N_BACKGROUND_CLIENTS)
-    ]
 
 
 def _scenario_servers(sim, scenario: Scenario, topology):
@@ -274,68 +259,155 @@ class WorldSpec:
     # -- assembly -------------------------------------------------------------
 
     def build(self):
-        """Assemble the world; returns a ready-to-run ``MFCRunner``."""
-        self.validate()
-        if self.synthetic is not None:
-            return self._build_synthetic()
-        if self.indicator:
-            return self._build_indicator()
-        return self._build_scenario()
+        """Assemble the world: an :class:`~repro.core.runner.MFCRunner`,
+        or an :class:`~repro.core.indicator.IndicatorRunner` for an
+        indicator world.
 
-    def _build_scenario(self):
+        One skeleton serves every kind of world; the kinds differ only
+        in the data chosen at each step.  The order of the steps is the
+        order of link registration and construction, and link index
+        breaks allocator ties, so it is part of the world's identity.
+        """
         from repro.core.client import MFCClient
+        from repro.core.cohort import CohortCrowd
         from repro.core.coordinator import Coordinator
+        from repro.core.indicator import (
+            PROBE_ACCESS_BPS,
+            PROBE_JITTER,
+            PROBE_RTT_S,
+            IndicatorRunner,
+        )
         from repro.core.profiler import profile_site
         from repro.core.runner import MFCRunner
-        from repro.net.topology import Topology, TopologySpec
+        from repro.net.topology import ClientSpec, Topology, TopologySpec
         from repro.server.monitor import ResourceMonitor
+        from repro.server.synthetic import SyntheticServer
         from repro.sim.kernel import Simulator
         from repro.sim.rng import RNGRegistry
         from repro.workload.background import BackgroundTraffic
         from repro.workload.fleet import build_fleet
 
+        self.validate()
+        synth = self.synthetic
         scenario = self.scenario
-        if self.background_rps is not None:
+        if scenario is not None and self.background_rps is not None:
             scenario = scenario.with_background(self.background_rps)
+
+        # 1. streams and kernel
         rngs = RNGRegistry(self.seed)
         sim = Simulator()
 
-        fleet = build_fleet(self.fleet, rng=rngs.stream("fleet"))
-        bg_specs = _background_client_specs()
-        topo_spec = TopologySpec(
-            server_access_bps=scenario.server_access_bps,
-            clients=list(fleet) + bg_specs,
-            shared_bottlenecks=(
-                {
-                    self.fleet.bottleneck_group: (
-                        self.bottleneck_capacity_bps
-                        if self.bottleneck_capacity_bps is not None
-                        else scenario.server_access_bps / 2
-                    )
-                }
-                if self.fleet.bottleneck_group is not None
-                else {}
+        # 2. client side: the crowd (or the indicator's one vantage
+        # point: well connected, so its access link never masks
+        # server-side provisioning, low jitter, never flaky), then the
+        # background nodes every scenario world carries
+        if self.indicator:
+            crowd = [
+                ClientSpec(
+                    client_id="probe00",
+                    rtt_to_target=PROBE_RTT_S,
+                    rtt_to_coord=0.010,
+                    access_bps=PROBE_ACCESS_BPS,
+                    jitter=PROBE_JITTER,
+                )
+            ]
+        else:
+            crowd = build_fleet(self.fleet, rng=rngs.stream("fleet"))
+        bg_specs = [
+            ClientSpec(
+                client_id=f"bg{i:02d}",
+                rtt_to_target=0.030 + 0.01 * i,
+                rtt_to_coord=0.020,
+                access_bps=12.5e6,
+                jitter=0.05,
+            )
+            for i in range(0 if synth is not None else N_BACKGROUND_CLIENTS)
+        ]
+
+        # 3. one topology; the indicator probe sees no control loss and
+        # sits behind no shared bottleneck
+        bottleneck_group = None if self.indicator else self.fleet.bottleneck_group
+        server_access_bps = (synth or scenario).server_access_bps
+        topology = Topology(
+            sim,
+            TopologySpec(
+                server_access_bps=server_access_bps,
+                clients=list(crowd) + bg_specs,
+                shared_bottlenecks=(
+                    {
+                        bottleneck_group: (
+                            self.bottleneck_capacity_bps
+                            if self.bottleneck_capacity_bps is not None
+                            else server_access_bps / 2
+                        )
+                    }
+                    if bottleneck_group is not None
+                    else {}
+                ),
+                control_loss_prob=0.0 if self.indicator else self.control_loss_prob,
             ),
-            control_loss_prob=self.control_loss_prob,
+            rngs=rngs.fork("topology"),
         )
-        topology = Topology(sim, topo_spec, rngs=rngs.fork("topology"))
 
-        servers, service = _scenario_servers(sim, scenario, topology)
+        # 4. server side
+        if synth is None:
+            servers, service = _scenario_servers(sim, scenario, topology)
+        else:
+            servers = []
+            service = SyntheticServer(
+                sim,
+                SYNTHETIC_MODELS[synth.model](sim, **synth.params),
+                topology.network,
+                topology.server_access,
+                base_service_s=synth.base_service_s,
+                response_bytes=synth.response_bytes,
+            )
 
-        fleet_nodes = [topology.client(spec.client_id) for spec in fleet]
-        bg_nodes = [topology.client(spec.client_id) for spec in bg_specs]
-
+        # 5. clients and background traffic
         clients = [
             MFCClient(
                 sim,
-                node,
+                topology.client(spec.client_id),
                 service,
                 topology.control,
                 self.config,
-                rng=rngs.stream(f"client.{node.client_id}"),
+                rng=rngs.stream(
+                    "indicator.probe"
+                    if self.indicator
+                    else f"client.{spec.client_id}"
+                ),
             )
-            for node in fleet_nodes
+            for spec in crowd
         ]
+        background = (
+            None
+            if synth is not None
+            else BackgroundTraffic(
+                sim,
+                service,
+                scenario.site,
+                [topology.client(spec.client_id) for spec in bg_specs],
+                rate_rps=scenario.background_rps,
+                rng=rngs.stream("background"),
+            )
+        )
+
+        # 6. the driver: the indicator probe, or a coordinator with its
+        # stages, faults and monitor
+        profile = None if synth is not None else profile_site(scenario.site)
+        world = dict(
+            sim=sim,
+            topology=topology,
+            service=service,
+            servers=servers,
+            clients=clients,
+            background=background,
+            profile=profile,
+            scenario=scenario,
+            world_spec=self,
+        )
+        if self.indicator:
+            return IndicatorRunner(**world)
         injector = None
         if self.faults is not None:
             from repro.faults.inject import FaultInjector
@@ -351,197 +423,47 @@ class WorldSpec:
             )
             for client in clients:
                 client.fault_gate = injector
-        cohort = self.crowd_mode == "cohort"
+        target_name = "synthetic" if synth is not None else scenario.name
         coordinator = Coordinator(
             sim,
             clients,
             topology.control,
             self.config,
-            target_name=scenario.name,
             rng=rngs.stream("coordinator"),
+            target_name=target_name,
             use_naive_scheduling=self.use_naive_scheduling,
             planner=self.planner,
             hardened=self.hardened,
-            crowd_mode=self.crowd_mode or "exact",
-            network=topology.network if cohort else None,
-            cohort_rng=rngs.stream("cohort") if cohort else None,
+            # synthetic worlds have no server pipeline to meter: always exact
+            cohorts=(
+                CohortCrowd(topology.network, rngs.stream("cohort"), target_name)
+                if self.crowd_mode == "cohort" and synth is None
+                else None
+            ),
         )
-        background = BackgroundTraffic(
-            sim,
-            service,
-            scenario.site,
-            bg_nodes,
-            rate_rps=scenario.background_rps,
-            rng=rngs.stream("background"),
-        )
-
-        profile = profile_site(scenario.site)
-        stages = stages_named(
-            self.stages if self.stages is not None else DEFAULT_STAGE_NAMES,
-            profile,
-        )
-
+        if synth is not None:
+            stages = [
+                StagePlan(
+                    name=StageKind.BASE.value,
+                    method=Method.GET,
+                    degradation_quantile=0.5,
+                    object_paths=(synth.probe_path,),
+                )
+            ]
+        else:
+            stages = stages_named(
+                self.stages if self.stages is not None else DEFAULT_STAGE_NAMES,
+                profile,
+            )
         monitor = (
             ResourceMonitor(sim, servers[0], interval_s=self.monitor_interval_s)
             if self.monitor_interval_s is not None
             else None
         )
         return MFCRunner(
-            sim=sim,
-            topology=topology,
-            service=service,
-            servers=servers,
-            clients=clients,
             coordinator=coordinator,
-            background=background,
             stages=stages,
-            profile=profile,
             monitor=monitor,
-            scenario=scenario,
-            world_spec=self,
             faults=injector,
-        )
-
-    def _build_indicator(self):
-        from repro.core.client import MFCClient
-        from repro.core.indicator import (
-            PROBE_ACCESS_BPS,
-            PROBE_JITTER,
-            PROBE_RTT_S,
-            IndicatorRunner,
-        )
-        from repro.core.profiler import profile_site
-        from repro.net.topology import ClientSpec, Topology, TopologySpec
-        from repro.sim.kernel import Simulator
-        from repro.sim.rng import RNGRegistry
-        from repro.workload.background import BackgroundTraffic
-
-        scenario = self.scenario
-        if self.background_rps is not None:
-            scenario = scenario.with_background(self.background_rps)
-        rngs = RNGRegistry(self.seed)
-        sim = Simulator()
-
-        # one dedicated measurement vantage point instead of the fleet:
-        # well connected (its access link never masks server-side
-        # provisioning), low jitter, never flaky — probe infrastructure,
-        # not a PlanetLab node
-        probe_spec = ClientSpec(
-            client_id="probe00",
-            rtt_to_target=PROBE_RTT_S,
-            rtt_to_coord=0.010,
-            access_bps=PROBE_ACCESS_BPS,
-            jitter=PROBE_JITTER,
-        )
-        bg_specs = _background_client_specs()
-        topo_spec = TopologySpec(
-            server_access_bps=scenario.server_access_bps,
-            clients=[probe_spec] + bg_specs,
-        )
-        topology = Topology(sim, topo_spec, rngs=rngs.fork("topology"))
-
-        servers, service = _scenario_servers(sim, scenario, topology)
-        client = MFCClient(
-            sim,
-            topology.client(probe_spec.client_id),
-            service,
-            topology.control,
-            self.config,
-            rng=rngs.stream("indicator.probe"),
-        )
-        background = BackgroundTraffic(
-            sim,
-            service,
-            scenario.site,
-            [topology.client(spec.client_id) for spec in bg_specs],
-            rate_rps=scenario.background_rps,
-            rng=rngs.stream("background"),
-        )
-        return IndicatorRunner(
-            sim=sim,
-            topology=topology,
-            service=service,
-            servers=servers,
-            client=client,
-            background=background,
-            profile=profile_site(scenario.site),
-            scenario=scenario,
-            world_spec=self,
-        )
-
-    def _build_synthetic(self):
-        from repro.core.client import MFCClient
-        from repro.core.coordinator import Coordinator
-        from repro.core.runner import MFCRunner
-        from repro.core.stages import StagePlan
-        from repro.net.topology import Topology, TopologySpec
-        from repro.server.http import Method
-        from repro.server.synthetic import SyntheticServer
-        from repro.sim.kernel import Simulator
-        from repro.sim.rng import RNGRegistry
-        from repro.workload.fleet import build_fleet
-
-        synth = self.synthetic
-        rngs = RNGRegistry(self.seed)
-        sim = Simulator()
-        fleet = build_fleet(self.fleet, rng=rngs.stream("fleet"))
-        topology = Topology(
-            sim,
-            TopologySpec(
-                server_access_bps=synth.server_access_bps,
-                clients=fleet,
-                control_loss_prob=self.control_loss_prob,
-            ),
-            rngs=rngs.fork("topology"),
-        )
-        model = SYNTHETIC_MODELS[synth.model](sim, **synth.params)
-        server = SyntheticServer(
-            sim,
-            model,
-            topology.network,
-            topology.server_access,
-            base_service_s=synth.base_service_s,
-            response_bytes=synth.response_bytes,
-        )
-        clients = [
-            MFCClient(
-                sim,
-                node,
-                server,
-                topology.control,
-                self.config,
-                rng=rngs.stream(f"client.{node.client_id}"),
-            )
-            for node in topology.clients
-        ]
-        coordinator = Coordinator(
-            sim,
-            clients,
-            topology.control,
-            self.config,
-            target_name="synthetic",
-            rng=rngs.stream("coordinator"),
-            use_naive_scheduling=self.use_naive_scheduling,
-            planner=self.planner,
-            hardened=self.hardened,
-        )
-        stage = StagePlan(
-            name=StageKind.BASE.value,
-            method=Method.GET,
-            degradation_quantile=0.5,
-            object_paths=(synth.probe_path,),
-        )
-        return MFCRunner(
-            sim=sim,
-            topology=topology,
-            service=server,
-            servers=[],
-            clients=clients,
-            coordinator=coordinator,
-            background=None,
-            stages=[stage],
-            profile=None,
-            monitor=None,
-            scenario=None,
-            world_spec=self,
+            **world,
         )

@@ -7,7 +7,6 @@ from repro.core.client import MFCClient, RequestCommand
 from repro.core.config import MFCConfig
 from repro.core.coordinator import Coordinator
 from repro.core.records import StageOutcome
-from repro.core.runner import MFCRunner
 from repro.core.stages import StageKind
 from repro.net.topology import ClientSpec, Topology, TopologySpec
 from repro.server.http import Method, Status
@@ -16,6 +15,7 @@ from repro.server.resources import ServerSpec
 from repro.server.webserver import SimWebServer
 from repro.sim import Simulator
 from repro.workload.fleet import FleetSpec
+from repro.worlds.spec import WorldSpec
 
 
 def tiny_world(n_clients=4, spec=None, unresponsive=()):
@@ -140,12 +140,12 @@ def run_mfc(runner):
 
 
 def test_coordinator_aborts_below_min_clients():
-    runner = MFCRunner.build(
-        qtnp_server(),
-        fleet_spec=FleetSpec(n_clients=30, unresponsive_fraction=0.0),
+    runner = WorldSpec(
+        scenario=qtnp_server(),
+        fleet=FleetSpec(n_clients=30, unresponsive_fraction=0.0),
         config=MFCConfig(min_clients=50),
         seed=3,
-    )
+    ).build()
     result = runner.run()
     assert result.aborted
     assert "50" in result.abort_reason
@@ -153,24 +153,24 @@ def test_coordinator_aborts_below_min_clients():
 
 
 def test_coordinator_counts_only_responsive_clients():
-    runner = MFCRunner.build(
-        qtnp_server(),
-        fleet_spec=FleetSpec(n_clients=60, unresponsive_fraction=0.5),
+    runner = WorldSpec(
+        scenario=qtnp_server(),
+        fleet=FleetSpec(n_clients=60, unresponsive_fraction=0.5),
         config=MFCConfig(min_clients=50),
         seed=3,
-    )
+    ).build()
     result = runner.run()
     assert result.aborted  # ~30 live < 50
 
 
 def test_full_experiment_qtnp_band():
     """The Table 1 shape: Base stops first, bandwidth NoStops."""
-    runner = MFCRunner.build(
-        qtnp_server(),
-        fleet_spec=FleetSpec(n_clients=65, unresponsive_fraction=0.05),
+    runner = WorldSpec(
+        scenario=qtnp_server(),
+        fleet=FleetSpec(n_clients=65, unresponsive_fraction=0.05),
         config=MFCConfig(min_clients=50, max_crowd=55),
         seed=1,
-    )
+    ).build()
     result = runner.run()
     assert not result.aborted
     base = result.stage(StageKind.BASE.value)
@@ -186,13 +186,13 @@ def test_full_experiment_qtnp_band():
 
 
 def test_epoch_crowds_nondecreasing_until_check():
-    runner = MFCRunner.build(
-        qtnp_server(),
-        fleet_spec=FleetSpec(n_clients=65, unresponsive_fraction=0.0),
+    runner = WorldSpec(
+        scenario=qtnp_server(),
+        fleet=FleetSpec(n_clients=65, unresponsive_fraction=0.0),
         config=MFCConfig(min_clients=50, max_crowd=30),
         stages=("Base",),
         seed=2,
-    )
+    ).build()
     result = runner.run()
     stage = result.stage(StageKind.BASE.value)
     normals = [c for c, _ in stage.crowd_series()]
@@ -208,23 +208,23 @@ def test_stage_skipped_when_no_large_object():
         site=site,
         server_access_bps=scenario.server_access_bps,
     )
-    runner = MFCRunner.build(
-        scenario,
-        fleet_spec=FleetSpec(n_clients=55, unresponsive_fraction=0.0),
+    runner = WorldSpec(
+        scenario=scenario,
+        fleet=FleetSpec(n_clients=55, unresponsive_fraction=0.0),
         config=MFCConfig(min_clients=50, max_crowd=20),
         seed=1,
-    )
+    ).build()
     assert all(s.name != StageKind.LARGE_OBJECT.value for s in runner.stages)
 
 
 def test_mfc_requests_marked_in_access_log():
-    runner = MFCRunner.build(
-        qtnp_server(),
-        fleet_spec=FleetSpec(n_clients=55, unresponsive_fraction=0.0),
+    runner = WorldSpec(
+        scenario=qtnp_server(),
+        fleet=FleetSpec(n_clients=55, unresponsive_fraction=0.0),
         config=MFCConfig(min_clients=50, max_crowd=15),
         stages=("Base",),
         seed=1,
-    )
+    ).build()
     runner.run()
     log = runner.server.access_log
     mfc = log.mfc_records()
@@ -234,27 +234,27 @@ def test_mfc_requests_marked_in_access_log():
 
 
 def test_control_loss_produces_missing_reports():
-    runner = MFCRunner.build(
-        qtnp_server(),
-        fleet_spec=FleetSpec(n_clients=70, unresponsive_fraction=0.0),
+    runner = WorldSpec(
+        scenario=qtnp_server(),
+        fleet=FleetSpec(n_clients=70, unresponsive_fraction=0.0),
         config=MFCConfig(min_clients=50, max_crowd=30),
         stages=("Base",),
         control_loss_prob=0.10,
         seed=4,
-    )
+    ).build()
     result = runner.run()
     stage = result.stage(StageKind.BASE.value)
     assert sum(e.missing_reports for e in stage.epochs) > 0
 
 
 def test_random_selection_varies_participants():
-    runner = MFCRunner.build(
-        qtnp_server(),
-        fleet_spec=FleetSpec(n_clients=60, unresponsive_fraction=0.0),
+    runner = WorldSpec(
+        scenario=qtnp_server(),
+        fleet=FleetSpec(n_clients=60, unresponsive_fraction=0.0),
         config=MFCConfig(min_clients=50, max_crowd=10, check_phase=False),
         stages=("Base",),
         seed=5,
-    )
+    ).build()
     result = runner.run()
     stage = result.stage(StageKind.BASE.value)
     ids_per_epoch = [

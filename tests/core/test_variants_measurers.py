@@ -4,12 +4,12 @@ import pytest
 
 from repro.core.config import MFCConfig
 from repro.core.measurers import Measurer
-from repro.core.runner import MFCRunner
 from repro.core.stages import StageKind
 from repro.core.variants import mfc_mr_config, staggered_config
 from repro.server.http import Method, Status
 from repro.server.presets import qtnp_server
 from repro.workload.fleet import FleetSpec
+from repro.worlds.spec import WorldSpec
 
 FLEET = FleetSpec(n_clients=55, unresponsive_fraction=0.0)
 
@@ -21,10 +21,10 @@ def test_mfc_mr_doubles_requests_per_epoch():
         max_crowd=20,
         threshold_s=1e6,  # sweep: never stop
     )
-    runner = MFCRunner.build(
-        qtnp_server(), fleet_spec=FLEET, config=config,
+    runner = WorldSpec(
+        scenario=qtnp_server(), fleet=FLEET, config=config,
         stages=("Base",), seed=8,
-    )
+    ).build()
     result = runner.run()
     stage = result.stage(StageKind.BASE.value)
     first = stage.epochs[0]
@@ -44,10 +44,10 @@ def test_staggered_arrivals_spread_at_server():
                   max_crowd=20, threshold_s=1e6),
         interval_s=0.250,
     )
-    runner = MFCRunner.build(
-        qtnp_server(), fleet_spec=FLEET, config=config,
+    runner = WorldSpec(
+        scenario=qtnp_server(), fleet=FLEET, config=config,
         stages=("Base",), seed=9,
-    )
+    ).build()
     result = runner.run()
     stage = result.stage(StageKind.BASE.value)
     epoch = stage.epochs[0]
@@ -69,10 +69,10 @@ def test_staggered_softens_degradation():
     base_cfg = MFCConfig(min_clients=50, max_crowd=40, threshold_s=0.100)
 
     def stop_size(config, seed=10):
-        runner = MFCRunner.build(
-            qtnp_server(), fleet_spec=FLEET, config=config,
+        runner = WorldSpec(
+            scenario=qtnp_server(), fleet=FLEET, config=config,
             stages=("Base",), seed=seed,
-        )
+        ).build()
         stage = runner.run().stage(StageKind.BASE.value)
         return stage.stopping_crowd_size
 
@@ -83,11 +83,11 @@ def test_staggered_softens_degradation():
 
 
 def test_measurer_samples_response_times():
-    runner = MFCRunner.build(
-        qtnp_server(), fleet_spec=FLEET,
+    runner = WorldSpec(
+        scenario=qtnp_server(), fleet=FLEET,
         config=MFCConfig(min_clients=50, max_crowd=15),
         stages=("Base",), seed=11,
-    )
+    ).build()
     measurer = Measurer(
         runner.sim,
         runner.topology.clients[0],
@@ -112,13 +112,13 @@ def test_measurer_observes_cross_resource_impact():
     from repro.server.presets import Scenario, univ1_server
 
     scenario = univ1_server().with_background(0.0)
-    runner = MFCRunner.build(
-        scenario,
-        fleet_spec=FleetSpec(n_clients=55, unresponsive_fraction=0.0),
+    runner = WorldSpec(
+        scenario=scenario,
+        fleet=FleetSpec(n_clients=55, unresponsive_fraction=0.0),
         config=MFCConfig(min_clients=50, max_crowd=40, threshold_s=1e6),
         stages=("LargeObject",),
         seed=12,
-    )
+    ).build()
     measurer = Measurer(
         runner.sim,
         runner.topology.clients[-1],

@@ -39,7 +39,6 @@ import repro.net.topology as topology_module
 import repro.sim.kernel as kernel_module
 from repro.campaign.codec import encode_result
 from repro.core.config import MFCConfig
-from repro.core.runner import MFCRunner
 from repro.core.stages import StageKind
 from repro.faults.spec import FAULT_PRESETS
 from repro.server import presets
@@ -56,13 +55,13 @@ def _run_world(scenario_factory, stage_kind, seed):
         initial_crowd=5,
         min_clients=20,
     )
-    runner = MFCRunner.build(
-        scenario_factory(),
-        fleet_spec=FleetSpec(n_clients=30),
+    runner = WorldSpec(
+        scenario=scenario_factory(),
+        fleet=FleetSpec(n_clients=30),
         config=config,
         stages=(stage_kind.value,),
         seed=seed,
-    )
+    ).build()
     return runner.run()
 
 

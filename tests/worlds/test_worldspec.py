@@ -7,7 +7,6 @@ import pytest
 
 from repro.campaign.codec import encode_result
 from repro.core.config import MFCConfig
-from repro.core.runner import MFCRunner
 from repro.core.stages import DEFAULT_STAGE_NAMES, StageKind
 from repro.server.presets import qtnp_server
 from repro.workload.fleet import FleetSpec, lan_fleet
@@ -292,20 +291,6 @@ def test_hash_tracks_execution_parameters():
             scenario=qtnp_server(), seed=1, stages=("Base",)
         ).spec_hash
     )
-
-
-def test_runner_build_is_a_worldspec_consumer():
-    """The historical entry point and the spec path are the same world."""
-    direct = MFCRunner.build(
-        qtnp_server(),
-        fleet_spec=SMALL_FLEET,
-        config=SMALL_CONFIG,
-        stages=["Base"],
-        seed=11,
-    )
-    assert direct.world_spec is not None
-    via_spec = direct.world_spec.build()
-    assert fingerprint(via_spec.run()) == fingerprint(direct.run())
 
 
 # -- synthetic worlds -------------------------------------------------------------
