@@ -83,7 +83,6 @@ def sweep_config(max_crowd: int, step: int = 5, **overrides) -> MFCConfig:
         crowd_step=step,
         max_crowd=max_crowd,
         min_clients=1,
-        epoch_gap_s=10.0,
     )
     defaults.update(overrides)
     return MFCConfig(**defaults)

@@ -4,8 +4,8 @@ The §5 study and every population benchmark are grids of fully
 independent, deterministic MFC worlds.  This package turns such grids
 into *campaigns*:
 
-- :mod:`repro.campaign.spec` — declarative grids expanded into
-  :class:`JobSpec` entries (world / callable payloads) with
+- :mod:`repro.campaign.spec` — ordered lists of :class:`JobSpec`
+  entries (world / callable payloads) with
   stable SHA-256 job keys hashed by :mod:`repro.worlds.codec`;
 - :mod:`repro.campaign.executor` — a process-pool executor with a
   byte-identical sequential fallback;

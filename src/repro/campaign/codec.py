@@ -1,15 +1,12 @@
 """JSON codec for campaign job results.
 
-The result store keeps one JSON document per finished job.  Five
+The result store keeps one JSON document per finished job.  Four
 result shapes are supported:
 
-- :class:`~repro.core.records.MFCResult` (scenario jobs),
-- :class:`~repro.core.records.StageResult` (callable jobs that return
-  a single stage),
+- :class:`~repro.core.records.MFCResult` (MFC world jobs),
 - :class:`~repro.core.indicator.IndicatorResult` (phase-1 triage
   jobs: the unloaded indicator pass),
-- :class:`~repro.campaign.triage.TriageRecord` (the per-site join of
-  indicator verdict and active follow-up),
+- :class:`DeadLetter` (a job that exhausted its timeout/retry budget),
 - any plain JSON-able value (callable jobs returning derived data,
   e.g. the synchronization ablation's arrival offsets).
 
@@ -167,9 +164,7 @@ def _decode_stage(doc: Dict) -> StageResult:
     )
 
 
-def encode_result(
-    value: Union[MFCResult, StageResult, object], detail: str = SUMMARY
-) -> Dict:
+def encode_result(value: Union[MFCResult, object], detail: str = SUMMARY) -> Dict:
     """Encode a job's return value into a storable JSON document."""
     if detail not in _DETAILS:
         raise ValueError(f"detail must be one of {_DETAILS}: {detail!r}")
@@ -188,8 +183,6 @@ def encode_result(
             "started_at": value.started_at,
             "ended_at": value.ended_at,
         }
-    if isinstance(value, StageResult):
-        return {"kind": "stage-result", "stage": _encode_stage(value, detail)}
     if isinstance(value, DeadLetter):
         return {
             "kind": "dead-letter",
@@ -208,27 +201,18 @@ def encode_result(
             "started_at": value.started_at,
             "ended_at": value.ended_at,
         }
-    # local import: triage sits above the executor, which imports this
-    # module at load time
-    from repro.campaign.triage import TriageRecord
-
-    if isinstance(value, TriageRecord):
-        doc = dataclasses.asdict(value)
-        doc["probe_stages"] = list(value.probe_stages)
-        doc["kind"] = "triage-record"
-        return doc
     # anything else must already be JSON-able
     try:
         json.dumps(value)
     except TypeError as exc:
         raise TypeError(
             f"job returned a non-storable {type(value).__name__}; return an "
-            "MFCResult, a StageResult, or plain JSON-able data"
+            "MFCResult or plain JSON-able data"
         ) from exc
     return {"kind": "value", "value": value}
 
 
-def decode_result(doc: Dict) -> Union[MFCResult, StageResult, object]:
+def decode_result(doc: Dict) -> Union[MFCResult, object]:
     """Rebuild the stored value (records become real dataclasses)."""
     kind = doc["kind"]
     if kind == "mfc-result":
@@ -244,8 +228,6 @@ def decode_result(doc: Dict) -> Union[MFCResult, StageResult, object]:
             started_at=doc["started_at"],
             ended_at=doc["ended_at"],
         )
-    if kind == "stage-result":
-        return _decode_stage(doc["stage"])
     if kind == "dead-letter":
         return DeadLetter(
             job_id=doc["job_id"],
@@ -262,13 +244,6 @@ def decode_result(doc: Dict) -> Union[MFCResult, StageResult, object]:
             started_at=doc["started_at"],
             ended_at=doc["ended_at"],
         )
-    if kind == "triage-record":
-        from repro.campaign.triage import TriageRecord
-
-        fields = {f.name for f in dataclasses.fields(TriageRecord)}
-        kwargs = {k: v for k, v in doc.items() if k in fields}
-        kwargs["probe_stages"] = tuple(kwargs.get("probe_stages", ()))
-        return TriageRecord(**kwargs)
     if kind == "value":
         return doc["value"]
     raise ValueError(f"unknown stored result kind: {kind!r}")

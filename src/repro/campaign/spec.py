@@ -1,9 +1,10 @@
 """Declarative experiment campaigns.
 
-A *campaign* is a grid of independent MFC jobs — scenario × stage ×
-config-variant × planner × seed — expanded into :class:`JobSpec`
-entries whose order and seeding are deterministic.  Each job carries everything a
-worker process needs to rebuild its world from scratch, plus a
+A *campaign* is a list of independent MFC jobs — for the §5 study, one
+world per population site (:meth:`CampaignSpec.for_study`) — held as
+:class:`JobSpec` entries whose order and seeding are deterministic.
+Each job carries everything a worker process needs to rebuild its
+world from scratch, plus a
 *stable key*: a SHA-256 over a canonical encoding of the
 execution-relevant parameters.  The key is what makes campaigns
 resumable — an interrupted run skips every job whose key is already in
@@ -28,8 +29,7 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from repro import __version__
 from repro.core.config import MFCConfig
-from repro.core.epochs import PlannerSpec
-from repro.core.stages import StageKind, stage_named
+from repro.core.stages import StageKind
 from repro.server.presets import Scenario
 from repro.workload.fleet import FleetSpec
 from repro.workload.populations import PopulationSite
@@ -147,101 +147,6 @@ class CampaignSpec:
         return len(self.jobs)
 
     @classmethod
-    def grid(
-        cls,
-        name: str,
-        scenarios: Sequence[ScenarioLike],
-        stages: Sequence[Union[StageKind, str]],
-        variants: Sequence[Tuple[str, Optional[MFCConfig]]] = (("default", None),),
-        seeds: Sequence[int] = (0,),
-        fleet_spec: Optional[FleetSpec] = None,
-        per_site_seeding: bool = True,
-        runner_kwargs: Optional[Dict] = None,
-        time_limit_s: float = 1e7,
-        planners: Sequence[Tuple[str, Optional[PlannerSpec]]] = (("default", None),),
-    ) -> "CampaignSpec":
-        """Expand seeds × variants × planners × stages × scenarios.
-
-        Scenario entries may be :class:`PopulationSite` objects,
-        ``(id, Scenario)`` pairs, or bare scenarios.  With
-        *per_site_seeding* (the default) each job's world seed is
-        ``base_seed * SEED_STRIDE + scenario_index`` — exactly the
-        historical study seeding — otherwise the base seed is used
-        unchanged for every scenario.
-
-        Stage entries are registry stage *names* ("Base", "Upload",
-        ...) or :class:`StageKind` members (read as their names);
-        *planners* adds an epoch-strategy axis of ``(label,
-        PlannerSpec or None)`` pairs.  Every cell is a declarative
-        world job running its one stage.
-        """
-        rows = _normalize_scenarios(scenarios)
-        # runner_kwargs carries extra world knobs (use_naive_scheduling,
-        # monitor_interval_s, ...); axes the grid manages itself must
-        # come through their own parameters
-        reserved = sorted(
-            set(runner_kwargs or {})
-            & {"scenario", "fleet", "fleet_spec", "config", "seed",
-               "stages", "planner"}
-        )
-        if reserved:
-            raise ValueError(
-                f"runner_kwargs may not carry grid axes: {reserved}; use "
-                "the dedicated grid parameters instead"
-            )
-        jobs: List[JobSpec] = []
-        for base_seed in seeds:
-            for variant_name, config in variants:
-                for planner_label, planner in planners:
-                    # an explicit default-linear entry IS the default:
-                    # fold it so the cell shares the default cell's key
-                    if planner is not None and planner == PlannerSpec():
-                        planner = None
-                    planner_tag = "" if planner is None else f"|{planner_label}"
-                    for stage in stages:
-                        stage_name = (
-                            stage.value
-                            if isinstance(stage, StageKind)
-                            else stage_named(stage).name
-                        )
-                        for index, (sid, scenario, extra) in enumerate(rows):
-                            world = WorldSpec(
-                                scenario=scenario,
-                                fleet=(
-                                    fleet_spec
-                                    if fleet_spec is not None
-                                    else FleetSpec()
-                                ),
-                                config=config if config is not None else MFCConfig(),
-                                seed=(
-                                    derive_site_seed(base_seed, index)
-                                    if per_site_seeding
-                                    else base_seed
-                                ),
-                                stages=(stage_name,),
-                                planner=planner,
-                                **dict(runner_kwargs or {}),
-                            )
-                            jobs.append(
-                                JobSpec.from_world(
-                                    f"{sid}|{stage_name}|{variant_name}"
-                                    f"|seed{base_seed}{planner_tag}",
-                                    world,
-                                    time_limit_s=time_limit_s,
-                                    meta={
-                                        "scenario_id": sid,
-                                        "stage": stage_name,
-                                        "variant": variant_name,
-                                        "planner": planner_label,
-                                        "base_seed": base_seed,
-                                        "index": index,
-                                        **extra,
-                                    },
-                                )
-                            )
-        return cls(name=name, jobs=jobs)
-
-    @classmethod
     def for_study(
         cls,
         sites: Sequence[PopulationSite],
@@ -250,12 +155,33 @@ class CampaignSpec:
         fleet_spec: Optional[FleetSpec] = None,
         seed: int = 0,
     ) -> "CampaignSpec":
-        """The §5 study as a campaign: one stage over a population."""
-        return cls.grid(
-            name=f"study-{stage.value}-seed{seed}",
-            scenarios=sites,
-            stages=(stage,),
-            seeds=(seed,),
-            fleet_spec=fleet_spec,
-            variants=(("study", config),),
-        )
+        """The §5 study as a campaign: one stage over a population.
+
+        Each site's world seed is ``seed * SEED_STRIDE + site_index``,
+        exactly the historical study seeding.
+        """
+        config = config if config is not None else MFCConfig()
+        fleet_spec = fleet_spec if fleet_spec is not None else FleetSpec()
+        jobs = [
+            JobSpec.from_world(
+                f"{sid}|{stage.value}|study|seed{seed}",
+                WorldSpec(
+                    scenario=scenario,
+                    fleet=fleet_spec,
+                    config=config,
+                    seed=derive_site_seed(seed, index),
+                    stages=(stage.value,),
+                ),
+                meta={
+                    "scenario_id": sid,
+                    "stage": stage.value,
+                    "variant": "study",
+                    "planner": "default",
+                    "base_seed": seed,
+                    "index": index,
+                    **extra,
+                },
+            )
+            for index, (sid, scenario, extra) in enumerate(_normalize_scenarios(sites))
+        ]
+        return cls(name=f"study-{stage.value}-seed{seed}", jobs=jobs)

@@ -33,18 +33,20 @@ from typing import Dict, Iterable, Iterator, List, Optional, Tuple, Union
 
 from repro.campaign.codec import FULL
 
-#: shard count of a store; shard-NN names are zero-padded to two
-#: digits, so keep this <= 100
+#: shard count of every store; shard-NN names are zero-padded to two
+#: digits, so keep this <= 100.  A constant, not a knob: a store
+#: reopened with another count would route every lookup to the wrong
+#: shard
 N_SHARDS = 16
 
 
-def shard_index(key: str, n_shards: int = N_SHARDS) -> int:
+def shard_index(key: str) -> int:
     """Route a job key to its shard (stable across runs and platforms)."""
     try:
-        return int(key[:2], 16) % n_shards
+        return int(key[:2], 16) % N_SHARDS
     except ValueError:
         # non-hex keys (hand-written stores) still deserve a stable home
-        return sum(key.encode("utf-8", "replace")) % n_shards
+        return sum(key.encode("utf-8", "replace")) % N_SHARDS
 
 
 def _load_lines(path: Path) -> Tuple[List[Dict], int, bool]:
@@ -89,11 +91,7 @@ class ResultStore:
     persisted — the executor uses one when no cache is wanted.
     """
 
-    def __init__(
-        self,
-        path: Optional[Union[str, Path]] = None,
-        n_shards: int = N_SHARDS,
-    ) -> None:
+    def __init__(self, path: Optional[Union[str, Path]] = None) -> None:
         self.path = Path(path) if path is not None else None
         if self.path is not None and self.path.is_file():
             # fail before a campaign computes anything it could not commit
@@ -101,14 +99,10 @@ class ResultStore:
                 f"result store {self.path} is a file; a store is a "
                 "directory of shard files"
             )
-        self.n_shards = n_shards
         #: per-shard key → record maps; a shard is absent until loaded
         self._shards: Dict[int, Dict[str, Dict]] = {}
 
     # -- layout ---------------------------------------------------------------
-
-    def _shard_of(self, key: str) -> int:
-        return shard_index(key, self.n_shards)
 
     def shard_path(self, shard: int) -> Optional[Path]:
         """On-disk file backing *shard* (None for in-memory stores)."""
@@ -143,7 +137,7 @@ class ResultStore:
         return records
 
     def _load_all(self) -> None:
-        for shard in range(self.n_shards):
+        for shard in range(N_SHARDS):
             self._shard_records(shard)
 
     @staticmethod
@@ -160,11 +154,11 @@ class ResultStore:
         return sum(len(records) for records in self._shards.values())
 
     def __contains__(self, key: str) -> bool:
-        return key in self._shard_records(self._shard_of(key))
+        return key in self._shard_records(shard_index(key))
 
     def get(self, key: str, detail: str) -> Optional[Dict]:
         """The stored record for *key*, if its detail level suffices."""
-        record = self._shard_records(self._shard_of(key)).get(key)
+        record = self._shard_records(shard_index(key)).get(key)
         if record is None:
             return None
         if record.get("detail") == detail or record.get("detail") == FULL:
@@ -203,7 +197,7 @@ class ResultStore:
             return
         by_shard: Dict[int, List[Dict]] = {}
         for record in records:
-            shard = self._shard_of(record["key"])
+            shard = shard_index(record["key"])
             self._remember(self._shard_records(shard), record)
             by_shard.setdefault(shard, []).append(record)
         if self.path is None:

@@ -122,32 +122,33 @@ class TriageRecord:
 
 
 def indicator_world(world: WorldSpec) -> WorldSpec:
-    """The phase-1 twin of *world*: same site, seed and config, but
+    """The phase-1 twin of *world*: same site, seed and background, but
     running the indicator pass instead of MFC stages."""
-    return replace(world, indicator=True, stages=None, planner=None)
+    return WorldSpec(
+        scenario=world.scenario,
+        seed=world.seed,
+        background_rps=world.background_rps,
+        indicator=True,
+    )
 
 
 def plan_triage_jobs(
     sites: Sequence[ScenarioLike],
-    config: Optional[MFCConfig] = None,
-    fleet_spec: Optional[FleetSpec] = None,
     seed: int = 0,
     time_limit_s: float = 1e7,
 ) -> List[JobSpec]:
-    """Phase-1 jobs: one indicator world per site, grid-seeded.
+    """Phase-1 jobs: one indicator world per site, study-seeded.
 
-    Seeding matches :meth:`CampaignSpec.grid` (``base_seed * stride +
-    site_index``) so a triage campaign and a classic campaign over the
-    same population draw the same per-site worlds.
+    Seeding matches :meth:`CampaignSpec.for_study` (``base_seed *
+    stride + site_index``) so a triage campaign and a classic campaign
+    over the same population draw the same per-site worlds.  An
+    indicator world reads no fleet or config, so its job key depends
+    on the site and seed alone.
     """
-    config = config if config is not None else MFCConfig()
-    fleet_spec = fleet_spec if fleet_spec is not None else FleetSpec()
     jobs: List[JobSpec] = []
     for index, (sid, scenario, extra) in enumerate(_normalize_scenarios(sites)):
         world = WorldSpec(
             scenario=scenario,
-            fleet=fleet_spec,
-            config=config,
             seed=derive_site_seed(seed, index),
             indicator=True,
         )
@@ -248,11 +249,14 @@ def _probe_fleet(fleet_spec: FleetSpec, probe_config: MFCConfig) -> FleetSpec:
 def _active_jobs(
     indicator_job: JobSpec,
     verdict: TriageVerdict,
+    config: MFCConfig,
+    fleet_spec: FleetSpec,
     planner: Optional[PlannerSpec],
     time_limit_s: float,
     crowd_mode: Optional[str] = None,
 ) -> List[JobSpec]:
-    """The phase-2 twins of a flagged site's indicator job."""
+    """The phase-2 twins of a flagged site's indicator job, probing
+    with the campaign's *config* and *fleet_spec*."""
     base_world = indicator_job.world
     meta = dict(indicator_job.meta)
     meta["phase"] = "active"
@@ -261,7 +265,7 @@ def _active_jobs(
     mode_suffix = f"|{crowd_mode}" if crowd_mode else ""
     jobs: List[JobSpec] = []
     for stage, probe_config, stage_planner in targeted_probe_plan(
-        verdict, base_world.config, planner=planner
+        verdict, config, planner=planner
     ):
         world = replace(
             base_world,
@@ -269,7 +273,7 @@ def _active_jobs(
             stages=(stage,),
             planner=stage_planner,
             config=probe_config,
-            fleet=_probe_fleet(base_world.fleet, probe_config),
+            fleet=_probe_fleet(fleet_spec, probe_config),
             crowd_mode=crowd_mode,
         )
         jobs.append(
@@ -323,10 +327,7 @@ def iter_triage(
     if not isinstance(store, ResultStore):
         store = ResultStore(store)
 
-    phase1 = plan_triage_jobs(
-        sites, config=config, fleet_spec=fleet_spec, seed=seed,
-        time_limit_s=time_limit_s,
-    )
+    phase1 = plan_triage_jobs(sites, seed=seed, time_limit_s=time_limit_s)
 
     #: join state: job key -> records awaiting that stage probe
     by_key: Dict[str, List[TriageRecord]] = {}
@@ -371,7 +372,7 @@ def iter_triage(
         record.active_outcomes = {}
         record.active_stops = {}
         stage_jobs = _active_jobs(
-            outcome.job, verdict, planner, time_limit_s,
+            outcome.job, verdict, config, fleet_spec, planner, time_limit_s,
             crowd_mode=crowd_mode,
         )
         remaining[id(record)] = len(stage_jobs)
@@ -456,9 +457,7 @@ def score_indicator(
         store = ResultStore(store)
     rows = _normalize_scenarios(scenarios)
 
-    indicator_jobs = plan_triage_jobs(
-        scenarios, config=config, fleet_spec=fleet_spec, seed=seed
-    )
+    indicator_jobs = plan_triage_jobs(scenarios, seed=seed)
     mode_suffix = f"|{crowd_mode}" if crowd_mode else ""
     truth_jobs = [
         JobSpec.from_world(

@@ -177,7 +177,9 @@ def build_parser() -> argparse.ArgumentParser:
     campaign.add_argument("--dry-run", action="store_true",
                           help="expand the campaign and print per-stratum "
                                "site counts, job counts and the key digest "
-                               "without running anything")
+                               "without running anything (not with "
+                               "--triage, whose phase-2 jobs depend on "
+                               "phase-1 results)")
     campaign.add_argument("--triage", action="store_true",
                           help="two-phase triage instead of full probing: "
                                "a near-free indicator sweep over every "
@@ -684,6 +686,13 @@ def cmd_campaign(args) -> int:
         print("repro campaign: a population is required unless --compact "
               "or --fsck is given", file=sys.stderr)
         return 2
+    if args.triage and args.dry_run:
+        # phase 2 is planned from phase-1 results, so a triage campaign
+        # cannot be expanded without running its indicator sweep
+        print("repro campaign: --dry-run cannot expand a --triage "
+              "campaign (its phase-2 jobs depend on phase-1 results)",
+              file=sys.stderr)
+        return 2
 
     strata_by_name = {
         "quantcast": quantcast_strata,
@@ -873,13 +882,7 @@ def cmd_triage(args) -> int:
         )
         return 0
 
-    world = WorldSpec(
-        scenario=scenario,
-        fleet=fleet_spec,
-        config=config,
-        seed=args.seed,
-        indicator=True,
-    )
+    world = WorldSpec(scenario=scenario, seed=args.seed, indicator=True)
     job = JobSpec.from_world(f"{args.scenario}|indicator|seed{args.seed}", world)
     result = decode_result(execute_job(job))
     verdict = classify_indicator(result, config=config, margin=args.margin)

@@ -21,7 +21,7 @@ import random
 from dataclasses import dataclass
 from typing import Callable, Dict, Generator, Optional, Tuple
 
-from repro.core.config import MFCConfig
+from repro.core.config import BASE_MEASURE_GAP_S, REQUEST_TIMEOUT_S
 from repro.core.records import ClientReport
 from repro.net.control import ControlChannel
 from repro.net.topology import ClientNode
@@ -58,14 +58,12 @@ class MFCClient:
         node: ClientNode,
         service,
         control: ControlChannel,
-        config: MFCConfig,
         rng: Optional[random.Random] = None,
     ) -> None:
         self.sim = sim
         self.node = node
         self.service = service
         self.control = control
-        self.config = config
         self.client_id = node.client_id
         self._rng = rng if rng is not None else random.Random(0)
         #: base response time per object path (step 2 above)
@@ -120,7 +118,7 @@ class MFCClient:
             # a timed-out base measurement still yields a (pessimal)
             # base value; the paper's normalization needs *something*
             self.base_times[path] = elapsed
-            yield self.config.base_measure_gap_s
+            yield BASE_MEASURE_GAP_S
         return dict(self.base_times)
 
     def probe_unloaded(
@@ -244,8 +242,8 @@ class MFCClient:
                 kind, extra_delay = disposition
                 if kind == "blackhole":
                     # the packets vanish; only the kill timer resolves it
-                    yield self.config.request_timeout_s
-                    return Status.CLIENT_TIMEOUT, 0.0, self.config.request_timeout_s
+                    yield REQUEST_TIMEOUT_S
+                    return Status.CLIENT_TIMEOUT, 0.0, REQUEST_TIMEOUT_S
                 if kind == "reset":
                     # RST after one round trip: fast, explicit failure
                     yield rtt
@@ -309,12 +307,12 @@ class MFCClient:
 
         proc = self.sim.process(request_flow())
         try:
-            yield deadline(self.sim, proc, self.config.request_timeout_s)
+            yield deadline(self.sim, proc, REQUEST_TIMEOUT_S)
         except Exception:
             # treat any transport failure like a timeout/ERR
-            return Status.CLIENT_TIMEOUT, 0.0, self.config.request_timeout_s
+            return Status.CLIENT_TIMEOUT, 0.0, REQUEST_TIMEOUT_S
         if proc.processed and proc.ok:
             status, nbytes = proc.value
             return status, nbytes, self.sim.now - issued_at
         # kill the request: record ERR at exactly the timeout value
-        return Status.CLIENT_TIMEOUT, 0.0, self.config.request_timeout_s
+        return Status.CLIENT_TIMEOUT, 0.0, REQUEST_TIMEOUT_S

@@ -51,6 +51,7 @@ import math
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
+from repro.core.config import REQUEST_TIMEOUT_S
 from repro.core.records import ClientReport
 from repro.server.http import Status, split_cache_bust
 
@@ -296,7 +297,6 @@ def epoch_drain_s(cohorts: List[Cohort]) -> Dict[object, float]:
 
 def synthesize_cohort_reports(
     cohort: Cohort,
-    config,
     rng,
     loss_prob: float,
     fault_gate,
@@ -330,7 +330,6 @@ def synthesize_cohort_reports(
         if meter.refused_weight
         else 0.0
     )
-    timeout_s = config.request_timeout_s
     reports: List[ClientReport] = []
     for status, numbytes, rep_elapsed, rep_rtt in meter.outcomes:
         for member in cohort.members:
@@ -355,7 +354,7 @@ def synthesize_cohort_reports(
                         m_status, m_bytes, elapsed = (
                             Status.CLIENT_TIMEOUT,
                             0.0,
-                            timeout_s,
+                            REQUEST_TIMEOUT_S,
                         )
                         disposed = True
                     elif kind == "reset":
@@ -380,11 +379,11 @@ def synthesize_cohort_reports(
                     )
                     elapsed = max(elapsed, 2.5 * m_rtt)
                     m_status, m_bytes = status, numbytes
-                if elapsed >= timeout_s:
+                if elapsed >= REQUEST_TIMEOUT_S:
                     m_status, m_bytes, elapsed = (
                         Status.CLIENT_TIMEOUT,
                         0.0,
-                        timeout_s,
+                        REQUEST_TIMEOUT_S,
                     )
             base = member.base_times.get(
                 cohort.paths.get(member.client_id, ""), 0.0

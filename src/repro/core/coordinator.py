@@ -43,7 +43,13 @@ from repro.core.cohort import (
     group_cohorts,
     synthesize_cohort_reports,
 )
-from repro.core.config import MFCConfig
+from repro.core.config import (
+    EPOCH_GAP_S,
+    LIVENESS_TIMEOUT_S,
+    REPORT_SLACK_S,
+    SCHEDULE_LEAD_S,
+    MFCConfig,
+)
 from repro.core.epochs import PlannerSpec, degradation_aggregate_sorted
 from repro.core.hardening import Hardened, HardeningPolicy, Verdict
 from repro.core.records import (
@@ -162,11 +168,11 @@ class Coordinator:
 
     def _probe(self, clients: List[MFCClient]) -> Generator:
         """Liveness-probe *clients*; return the ids that answered
-        within one ``liveness_timeout_s`` window."""
+        within one ``LIVENESS_TIMEOUT_S`` window."""
         answered: List[str] = []
         for client in clients:
             client.probe(answered.append)
-        yield self.config.liveness_timeout_s
+        yield LIVENESS_TIMEOUT_S
         return set(answered)
 
     # -- per stage --------------------------------------------------------------------
@@ -313,7 +319,7 @@ class Coordinator:
                 client.node.latency_to_coord,
                 lambda rtt, cid=client.client_id: coord_rtts.setdefault(cid, rtt),
             )
-        yield self.config.liveness_timeout_s
+        yield LIVENESS_TIMEOUT_S
 
         # T_target + base response times: strictly sequential so the
         # measurements do not impact each other (§2.2.3)
@@ -374,11 +380,7 @@ class Coordinator:
         epoch_key = (stage.name, self._epoch_seq)
         m = self.config.requests_per_client
         n_clients = min(math.ceil(crowd / m), len(pool))
-        participants = (
-            self._rng.sample(pool, n_clients)
-            if self.config.random_client_selection
-            else pool[:n_clients]
-        )
+        participants = self._rng.sample(pool, n_clients)
         scheduled_requests = n_clients * m
 
         groups = self._groups(participants, live, stage)
@@ -390,7 +392,7 @@ class Coordinator:
         else:
             target_time = (
                 self.scheduler.earliest_feasible_T(now, rep_estimates)
-                + self.config.schedule_lead_s
+                + SCHEDULE_LEAD_S
             )
             plans = self.scheduler.plan(now, target_time, rep_estimates)
 
@@ -420,8 +422,8 @@ class Coordinator:
         # wait out the epoch: commands, requests (≤10 s), reports
         drain_until = (
             max(p.intended_arrival for p in plans)
-            + self.config.epoch_gap_s
-            + self.config.report_slack_s
+            + EPOCH_GAP_S
+            + REPORT_SLACK_S
         )
         yield max(drain_until - self.sim.now, 0.0)
 
@@ -435,7 +437,6 @@ class Coordinator:
                 reports.extend(
                     synthesize_cohort_reports(
                         group,
-                        self.config,
                         cohorts.rng,
                         self.control.loss_prob,
                         group.rep.fault_gate,

@@ -13,6 +13,7 @@ import enum
 import math
 from typing import TYPE_CHECKING, AbstractSet, Dict, Generator, List, NamedTuple, Optional
 
+from repro.core.config import REQUEST_TIMEOUT_S
 from repro.core.records import ClientReport, EpochLabel, EpochResult, StageResult
 from repro.core.scheduler import DelayEstimates
 from repro.core.stages import StagePlan
@@ -145,7 +146,7 @@ class Hardened(HardeningPolicy):
             if client.client_id not in estimates:
                 continue
             path = self.stage.object_for(index)
-            if client.base_times.get(path, 0.0) >= self.config.request_timeout_s:
+            if client.base_times.get(path, 0.0) >= REQUEST_TIMEOUT_S:
                 del estimates[client.client_id]
         self.result.quarantined_clients = max(
             self.result.quarantined_clients, len(self.live) - len(estimates)
@@ -299,12 +300,12 @@ class Hardened(HardeningPolicy):
                 f"lost {attrition:.0%} of scheduled reports "
                 f"(limit {MAX_EPOCH_ATTRITION:.0%})"
             )
-        censor_floor = CENSORED_AGGREGATE_FRACTION * self.config.request_timeout_s
+        censor_floor = CENSORED_AGGREGATE_FRACTION * REQUEST_TIMEOUT_S
         if epoch.degraded and epoch.aggregate_normalized_s > censor_floor:
             return (
                 "degradation signal rests on killed requests (aggregate "
                 f"{epoch.aggregate_normalized_s:.1f}s vs the "
-                f"{self.config.request_timeout_s:.0f}s kill timer)"
+                f"{REQUEST_TIMEOUT_S:.0f}s kill timer)"
             )
         return None
 

@@ -39,6 +39,8 @@ from dataclasses import dataclass
 from typing import Generator, List, Optional, Tuple
 
 from repro.core.client import MFCClient
+from repro.core.config import BASE_MEASURE_GAP_S
+from repro.core.epochs import median
 from repro.core.runner import World
 from repro.server.http import CACHE_BUST_MARKER, Method
 from repro.sim.process import Process
@@ -54,17 +56,6 @@ N_REPEAT_SAMPLES = 2
 PROBE_ACCESS_BPS = 125e6
 PROBE_RTT_S = 0.040
 PROBE_JITTER = 0.02
-
-
-def median(values: List[float]) -> float:
-    """Median of a small sample (mean of the middle pair when even)."""
-    if not values:
-        raise ValueError("median of an empty sample")
-    ordered = sorted(values)
-    mid = len(ordered) // 2
-    if len(ordered) % 2:
-        return ordered[mid]
-    return 0.5 * (ordered[mid - 1] + ordered[mid])
 
 
 @dataclass(frozen=True)
@@ -171,7 +162,7 @@ class IndicatorRunner(World):
         """Process body: the whole sequential indicator pass."""
         started = self.sim.now
         client = self.client
-        gap = client.config.base_measure_gap_s
+        gap = BASE_MEASURE_GAP_S
         profile = self.profile
 
         rtt = yield from client.measure_target_rtt()

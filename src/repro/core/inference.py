@@ -57,6 +57,10 @@ ATTRITION_INCONCLUSIVE = 0.25
 #: threshold is a coin flip, not a measurement
 NOISE_INCONCLUSIVE = 0.5
 
+#: two stopping sizes within this ratio count as "the same crowd size"
+#: for the serialization diagnosis
+SIMILAR_STOP_RATIO = 1.4
+
 
 def subsystem_for(stage_name: str) -> str:
     """The sub-system a stage probes (registry-declared; §2.2.2 for
@@ -125,12 +129,8 @@ def _verdict(stage: StageResult) -> Provisioning:
     return Provisioning.UNKNOWN
 
 
-def infer_constraints(result: MFCResult, similar_ratio: float = 1.4) -> ConstraintReport:
-    """Derive the constraint report from an experiment result.
-
-    *similar_ratio* bounds how close two stopping sizes must be to
-    count as "the same crowd size" for the serialization diagnosis.
-    """
+def infer_constraints(result: MFCResult) -> ConstraintReport:
+    """Derive the constraint report from an experiment result."""
     report = ConstraintReport(target_name=result.target_name)
     if result.aborted:
         report.diagnoses.append(f"experiment aborted: {result.abort_reason}")
@@ -230,7 +230,7 @@ def infer_constraints(result: MFCResult, similar_ratio: float = 1.4) -> Constrai
     ]
     if len(stopped) >= 2 and len(stopped) == len(result.stages):
         lo, hi = min(stopped), max(stopped)
-        if hi <= lo * similar_ratio:
+        if hi <= lo * SIMILAR_STOP_RATIO:
             report.diagnoses.append(
                 f"every stage stops near crowd size {lo}-{hi} irrespective of "
                 "request type: suspect request scheduling, resource "

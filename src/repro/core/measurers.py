@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Generator, List, Optional
 
-from repro.core.config import MFCConfig
+from repro.core.config import REQUEST_TIMEOUT_S
 from repro.net.topology import ClientNode
 from repro.server.http import HTTPRequest, Method, Status
 from repro.sim.events import deadline
@@ -37,14 +37,12 @@ class Measurer:
         sim: Simulator,
         node: ClientNode,
         service,
-        config: MFCConfig,
         path: str,
         method: Method = Method.GET,
     ) -> None:
         self.sim = sim
         self.node = node
         self.service = service
-        self.config = config
         self.path = path
         self.method = method
         self.samples: List[MeasurerSample] = []
@@ -66,7 +64,7 @@ class Measurer:
             return response
 
         proc = self.sim.process(flow())
-        yield deadline(self.sim, proc, self.config.request_timeout_s)
+        yield deadline(self.sim, proc, REQUEST_TIMEOUT_S)
         if proc.processed and proc.ok:
             sample = MeasurerSample(
                 time=started,
@@ -78,7 +76,7 @@ class Measurer:
             sample = MeasurerSample(
                 time=started,
                 path=self.path,
-                response_time_s=self.config.request_timeout_s,
+                response_time_s=REQUEST_TIMEOUT_S,
                 status=Status.CLIENT_TIMEOUT,
             )
         self.samples.append(sample)

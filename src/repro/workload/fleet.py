@@ -78,7 +78,6 @@ def _log_uniform(rng: random.Random, lo: float, hi: float) -> float:
 def build_fleet(
     spec: FleetSpec,
     rng: Optional[random.Random] = None,
-    id_prefix: str = "pl",
 ) -> List[ClientSpec]:
     """Draw a deterministic fleet of client specs."""
     spec.validate()
@@ -92,7 +91,7 @@ def build_fleet(
         spiky = rng.random() < spec.spike_node_fraction
         clients.append(
             ClientSpec(
-                client_id=f"{id_prefix}{i:03d}",
+                client_id=f"pl{i:03d}",
                 rtt_to_target=_log_uniform(rng, *spec.rtt_range),
                 rtt_to_coord=_log_uniform(rng, *spec.coord_rtt_range),
                 access_bps=rng.choice(list(spec.access_bps_choices)),

@@ -145,8 +145,9 @@ class WorldSpec:
     #: unless ``config.hardening`` says otherwise (see :attr:`hardened`).
     faults: Optional[FaultSpec] = None
     #: crowd simulation mode: "cohort" collapses homogeneous clients into
-    #: weighted macro-flows (:mod:`repro.core.cohort`); "exact" or None
-    #: runs every crowd client as its own process and transfer
+    #: weighted macro-flows (:mod:`repro.core.cohort`); None (or
+    #: "exact", folded to None) runs every crowd client as its own
+    #: process and transfer
     crowd_mode: Optional[str] = None
     #: free-form annotation — cosmetic, never hashed
     notes: str = ""
@@ -160,6 +161,9 @@ class WorldSpec:
             # `--planner linear` equals the planner-less world it
             # byte-identically reproduces
             self.planner = None
+        if self.crowd_mode == "exact":
+            # likewise: "exact" is the default crowd mode
+            self.crowd_mode = None
 
     @property
     def hardened(self) -> bool:
@@ -230,15 +234,25 @@ class WorldSpec:
                     "indicator passes probe site content; synthetic worlds "
                     "have none"
                 )
+            # the one probe node replaces fleet, crowd and coordinator:
+            # a world reads only its scenario, seed and background
             conflicting = {
-                "stages": self.stages,
-                "planner": self.planner,
+                "stages": self.stages is not None,
+                "planner": self.planner is not None,
+                "fleet": self.fleet != FleetSpec(),
+                "config": self.config != MFCConfig(),
+                "control_loss_prob": self.control_loss_prob != 0.0,
+                "monitor_interval_s": self.monitor_interval_s is not None,
+                "use_naive_scheduling": self.use_naive_scheduling,
+                "bottleneck_capacity_bps": self.bottleneck_capacity_bps is not None,
+                "crowd_mode": self.crowd_mode is not None,
             }
-            extras = sorted(k for k, v in conflicting.items() if v is not None)
+            extras = sorted(name for name, is_set in conflicting.items() if is_set)
             if extras:
                 raise ValueError(
-                    "the indicator pass has a fixed probe plan — no MFC "
-                    f"stages, no epoch planner; unsupported: {extras}"
+                    "the indicator pass has a fixed probe plan from one "
+                    "probe node — no MFC stages, epoch planner, fleet, "
+                    f"coordinator or crowd; unsupported: {extras}"
                 )
         if self.synthetic is not None:
             self.synthetic.validate()
@@ -248,12 +262,15 @@ class WorldSpec:
                 "background_rps": self.background_rps,
                 "stages": self.stages,
                 "fleet.bottleneck_group": self.fleet.bottleneck_group,
+                # no server pipeline to meter: crowds always run exact
+                "crowd_mode": self.crowd_mode,
             }
             extras = sorted(k for k, v in unsupported.items() if v is not None)
             if extras:
                 raise ValueError(
                     "synthetic worlds have one fixed probe stage, no site "
-                    f"content and no background pool; unsupported: {extras}"
+                    "content, no background pool and no server pipeline "
+                    f"to meter cohorts; unsupported: {extras}"
                 )
 
     # -- assembly -------------------------------------------------------------
@@ -324,9 +341,8 @@ class WorldSpec:
             for i in range(0 if synth is not None else N_BACKGROUND_CLIENTS)
         ]
 
-        # 3. one topology; the indicator probe sees no control loss and
-        # sits behind no shared bottleneck
-        bottleneck_group = None if self.indicator else self.fleet.bottleneck_group
+        # 3. one topology
+        bottleneck_group = self.fleet.bottleneck_group
         server_access_bps = (synth or scenario).server_access_bps
         topology = Topology(
             sim,
@@ -344,7 +360,7 @@ class WorldSpec:
                     if bottleneck_group is not None
                     else {}
                 ),
-                control_loss_prob=0.0 if self.indicator else self.control_loss_prob,
+                control_loss_prob=self.control_loss_prob,
             ),
             rngs=rngs.fork("topology"),
         )
@@ -370,7 +386,6 @@ class WorldSpec:
                 topology.client(spec.client_id),
                 service,
                 topology.control,
-                self.config,
                 rng=rngs.stream(
                     "indicator.probe"
                     if self.indicator
@@ -434,10 +449,9 @@ class WorldSpec:
             use_naive_scheduling=self.use_naive_scheduling,
             planner=self.planner,
             hardened=self.hardened,
-            # synthetic worlds have no server pipeline to meter: always exact
             cohorts=(
                 CohortCrowd(topology.network, rngs.stream("cohort"), target_name)
-                if self.crowd_mode == "cohort" and synth is None
+                if self.crowd_mode == "cohort"
                 else None
             ),
         )

@@ -59,21 +59,24 @@ STUDY_CONFIG = MFCConfig(min_clients=50, max_crowd=50)
 STUDY_FLEET = FleetSpec(n_clients=60, unresponsive_fraction=0.0)
 
 
-# -- grid expansion ---------------------------------------------------------------
+# -- campaign expansion -----------------------------------------------------------
 
 
 def test_grid_expansion_is_deterministic():
-    def make():
-        return CampaignSpec.grid(
-            name="grid",
-            scenarios=[("qtnp", qtnp_server()), ("univ1", univ1_server())],
-            stages=(StageKind.BASE, StageKind.SMALL_QUERY),
-            seeds=(0, 7),
-            fleet_spec=STUDY_FLEET,
-        )
+    sites = tiny_population()
 
-    first, second = make().expand(), make().expand()
-    assert len(first) == 2 * 2 * 2
+    def make():
+        return [
+            job
+            for seed in (0, 7)
+            for stage in (StageKind.BASE, StageKind.SMALL_QUERY)
+            for job in CampaignSpec.for_study(
+                sites, stage, fleet_spec=STUDY_FLEET, seed=seed
+            ).expand()
+        ]
+
+    first, second = make(), make()
+    assert len(first) == 2 * 2 * len(sites)
     assert [j.job_id for j in first] == [j.job_id for j in second]
     assert [j.key for j in first] == [j.key for j in second]
     assert [j.world.seed for j in first] == [j.world.seed for j in second]
@@ -94,115 +97,47 @@ def test_grid_uses_study_seeding():
     assert [j.meta["stratum"] for j in jobs] == [s.stratum for s in sites]
 
 
-def test_grid_over_named_stages_and_planners():
-    """The stage/planner axes expand to world jobs; a StageKind entry
-    reads as its registry name."""
-    from repro.core.epochs import PlannerSpec
-
-    spec = CampaignSpec.grid(
-        name="grid",
-        scenarios=[("qtnp", qtnp_server())],
-        stages=(StageKind.BASE, "Upload"),
-        planners=(("default", None), ("bisect", PlannerSpec(name="bisect"))),
-        fleet_spec=STUDY_FLEET,
-    )
-    jobs = spec.expand()
-    assert len(jobs) == 4
-    by_id = {j.job_id: j for j in jobs}
-    # default planner: id without a planner tag, no planner in the spec
-    base = by_id["qtnp|Base|default|seed0"]
-    assert base.world.stages == ("Base",)
-    assert base.world.planner is None
-    # named stage under the default planner: world job selecting by name
-    upload = by_id["qtnp|Upload|default|seed0"]
-    assert upload.world is not None
-    assert upload.world.stages == ("Upload",)
-    assert upload.world.planner is None
-    # any cell under a non-default planner is a world job with the spec
-    bisected = by_id["qtnp|Base|default|seed0|bisect"]
-    assert bisected.world.planner.name == "bisect"
-    assert bisected.world.stages == ("Base",)
-    assert by_id["qtnp|Upload|default|seed0|bisect"].meta["planner"] == "bisect"
-    # all four are distinct work
-    assert len({j.key for j in jobs}) == 4
-
-
 def test_explicit_linear_planner_folds_into_the_default_cell():
-    """('linear', PlannerSpec('linear')) is byte-identical work to the
-    default cell: it must share the default's job key, not cache the
+    """A world pinning PlannerSpec('linear') is byte-identical work to
+    the planner-less world: it must share its job key, not cache the
     same simulation twice under a new key."""
     from repro.core.epochs import PlannerSpec
 
-    spec = CampaignSpec.grid(
-        name="grid",
-        scenarios=[("qtnp", qtnp_server())],
-        stages=(StageKind.BASE,),
-        planners=(("default", None), ("linear", PlannerSpec(name="linear"))),
-        fleet_spec=STUDY_FLEET,
-    )
-    jobs = spec.expand()
-    assert len(jobs) == 2
-    assert jobs[0].key == jobs[1].key          # deduped by the executor
-    assert all(j.world.planner is None for j in jobs)
-
-
-def test_grid_rejects_runner_kwargs_carrying_grid_axes():
-    from repro.core.epochs import PlannerSpec
-
-    with pytest.raises(ValueError, match="grid axes"):
-        CampaignSpec.grid(
-            name="grid",
-            scenarios=[("qtnp", qtnp_server())],
-            stages=("Upload",),
-            runner_kwargs={"planner": PlannerSpec(name="bisect")},
+    def job(job_id, planner):
+        world = WorldSpec(
+            scenario=qtnp_server(), fleet=STUDY_FLEET, stages=("Base",),
+            planner=planner,
         )
-    with pytest.raises(ValueError, match="grid axes"):
-        CampaignSpec.grid(
-            name="grid",
-            scenarios=[("qtnp", qtnp_server())],
-            stages=(StageKind.BASE,),
-            runner_kwargs={"seed": 4},
-        )
+        return JobSpec.from_world(job_id, world)
 
-
-def test_grid_runner_kwargs_reach_world_cells():
-    spec = CampaignSpec.grid(
-        name="grid",
-        scenarios=[("qtnp", qtnp_server())],
-        stages=("Upload",),
-        runner_kwargs={"use_naive_scheduling": True},
-    )
-    (job,) = spec.expand()
-    assert job.world.use_naive_scheduling is True
-
-
-def test_grid_rejects_unknown_stage_names():
-    with pytest.raises(ValueError, match="unknown probe stage"):
-        CampaignSpec.grid(
-            name="grid",
-            scenarios=[("qtnp", qtnp_server())],
-            stages=("Teleport",),
-        )
+    default = job("default", None)
+    linear = job("linear", PlannerSpec(name="linear"))
+    assert default.key == linear.key          # deduped by the executor
+    assert linear.world.planner is None
 
 
 def test_planner_grid_jobs_run(tmp_path):
-    """A small stage×planner grid executes through the normal engine
-    and each job returns the requested stage."""
+    """Single-stage world jobs under different planners execute through
+    the normal engine and each returns the requested stage."""
     from repro.core.epochs import PlannerSpec
 
     config = MFCConfig(max_crowd=15, crowd_step=5, initial_crowd=5, min_clients=10)
-    spec = CampaignSpec.grid(
-        name="planner-grid",
-        scenarios=[("qtnp", qtnp_server())],
-        stages=("ConnChurn",),
-        planners=(
-            ("linear", PlannerSpec(name="linear")),
-            ("geometric", PlannerSpec(name="geometric")),
-        ),
-        variants=(("small", config),),
-        fleet_spec=FleetSpec(n_clients=20, unresponsive_fraction=0.0),
+    jobs = [
+        JobSpec.from_world(
+            f"qtnp|ConnChurn|{name}",
+            WorldSpec(
+                scenario=qtnp_server(),
+                fleet=FleetSpec(n_clients=20, unresponsive_fraction=0.0),
+                config=config,
+                stages=("ConnChurn",),
+                planner=PlannerSpec(name=name),
+            ),
+        )
+        for name in ("linear", "geometric")
+    ]
+    outcomes = run_campaign(
+        CampaignSpec(name="planner-grid", jobs=jobs), store=tmp_path / "grid.d"
     )
-    outcomes = run_campaign(spec, store=tmp_path / "grid.d")
     assert len(outcomes) == 2
     for outcome in outcomes:
         assert "ConnChurn" in outcome.result.stages
@@ -382,7 +317,8 @@ def test_codec_nostop_describe_survives_summary():
             for i in range(3)
         ],
     )
-    decoded = decode_result(encode_result(stage, SUMMARY))
+    result = MFCResult(target_name="site", stages={"Base": stage})
+    decoded = decode_result(encode_result(result, SUMMARY)).stages["Base"]
     assert decoded.describe() == stage.describe() == "NoStop (15)"
 
 

@@ -20,10 +20,12 @@ from repro.campaign.executor import (
     PLANNER_COST_FACTOR,
     estimate_job_cost,
 )
+from repro.campaign.codec import SUMMARY
 from repro.campaign.spec import JobSpec
 from repro.campaign.store import ResultStore
 from repro.campaign.triage import (
     indicator_world,
+    plan_triage_jobs,
     run_triage,
     score_indicator,
     targeted_probe_plan,
@@ -33,7 +35,9 @@ from repro.core.epochs import BisectKnee, PlannerSpec
 from repro.core.indicator import IndicatorFeatures, IndicatorResult
 from repro.core.inference import classify_indicator
 from repro.core.records import EpochLabel, EpochResult, StageOutcome
+from repro.workload import generate_population
 from repro.workload.fleet import FleetSpec
+from repro.workload.populations import startup_population
 from repro.worlds import codec as worlds_codec
 from repro.worlds.registry import SCENARIO_PRESETS
 from repro.worlds.spec import WorldSpec
@@ -285,6 +289,33 @@ def test_resume_after_kill_spans_phase_boundary(tmp_path):
         return sorted(records, key=lambda r: r.site_id)
 
     assert by_site(resumed) == by_site(baseline)
+
+
+def test_rerun_with_another_fleet_and_threshold_reuses_the_indicator_sweep(tmp_path):
+    """An indicator world reads only its site, seed and background, so
+    its job key carries no fleet or config: rerunning a survey with
+    another fleet and θ recomputes phase 2 only."""
+    sites = generate_population(startup_population(scale=0.1), seed=0)
+    assert len(sites) == 11
+    cache = tmp_path / "triage.d"
+    run_triage(
+        sites, store=str(cache), seed=0,
+        config=MFCConfig(max_crowd=50, min_clients=45),
+        fleet_spec=FleetSpec(n_clients=60, unresponsive_fraction=0.05),
+    )
+    store = ResultStore(cache)
+    phase1 = [job.key for job in plan_triage_jobs(sites, seed=0)]
+    assert store.missing(phase1, SUMMARY) == []
+    before = {record["key"] for record in store.records()}
+
+    run_triage(
+        sites, store=str(cache), seed=0,
+        config=MFCConfig(threshold_s=0.150, max_crowd=50, min_clients=45),
+        fleet_spec=FleetSpec(n_clients=70, unresponsive_fraction=0.05),
+    )
+    added = [r for r in ResultStore(cache).records() if r["key"] not in before]
+    assert added
+    assert {r["result"]["kind"] for r in added} == {"mfc-result"}
 
 
 # -- satellite units: cost model and canonical-form memo ---------------------

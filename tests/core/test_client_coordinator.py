@@ -4,7 +4,7 @@ import pytest
 
 from repro.content.site import minimal_site
 from repro.core.client import MFCClient, RequestCommand
-from repro.core.config import MFCConfig
+from repro.core.config import REQUEST_TIMEOUT_S, MFCConfig
 from repro.core.coordinator import Coordinator
 from repro.core.records import StageOutcome
 from repro.core.stages import StageKind
@@ -46,7 +46,7 @@ def tiny_world(n_clients=4, spec=None, unresponsive=()):
     )
     config = MFCConfig(min_clients=1, max_crowd=n_clients)
     clients = [
-        MFCClient(sim, node, server, topo.control, config)
+        MFCClient(sim, node, server, topo.control)
         for node in topo.clients
     ]
     return sim, topo, server, clients, config
@@ -78,7 +78,7 @@ def test_client_timeout_records_err():
     client = clients[0]
     proc = sim.process(client.measure_base(["/index.html"], Method.HEAD))
     sim.run_until_complete(proc, limit=1e6)
-    assert client.base_times["/index.html"] == config.request_timeout_s
+    assert client.base_times["/index.html"] == REQUEST_TIMEOUT_S
 
 
 def test_client_command_reports_to_sink():

@@ -184,7 +184,7 @@ def _synth_cohort(n_members=8, rep_elapsed=0.5):
 def test_synthesis_yields_one_report_per_member_per_slot():
     cohort, drain = _synth_cohort()
     reports = synthesize_cohort_reports(
-        cohort, MFCConfig(), random.Random(0), loss_prob=0.0,
+        cohort, random.Random(0), loss_prob=0.0,
         fault_gate=None, arrival_time=0.0, epoch_drain=drain,
     )
     assert len(reports) == cohort.weight
@@ -200,9 +200,8 @@ def test_synthesis_yields_one_report_per_member_per_slot():
 
 def test_synthesis_censors_at_the_kill_timer():
     cohort, drain = _synth_cohort(rep_elapsed=50.0)
-    config = MFCConfig(request_timeout_s=10.0)
     reports = synthesize_cohort_reports(
-        cohort, config, random.Random(0), loss_prob=0.0,
+        cohort, random.Random(0), loss_prob=0.0,
         fault_gate=None, arrival_time=0.0, epoch_drain=drain,
     )
     assert reports
@@ -217,7 +216,7 @@ def test_silent_cohort_when_command_was_lost():
     cohort.meter.outcomes.clear()
     assert (
         synthesize_cohort_reports(
-            cohort, MFCConfig(), random.Random(0), loss_prob=0.0,
+            cohort, random.Random(0), loss_prob=0.0,
             fault_gate=None, arrival_time=0.0, epoch_drain=drain,
         )
         == []
@@ -227,7 +226,7 @@ def test_silent_cohort_when_command_was_lost():
 def test_report_loss_draws_thin_the_cohort():
     cohort, drain = _synth_cohort(n_members=64)
     reports = synthesize_cohort_reports(
-        cohort, MFCConfig(), random.Random(1), loss_prob=0.5,
+        cohort, random.Random(1), loss_prob=0.5,
         fault_gate=None, arrival_time=0.0, epoch_drain=drain,
     )
     assert 0 < len(reports) < 64

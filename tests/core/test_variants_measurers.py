@@ -92,7 +92,6 @@ def test_measurer_samples_response_times():
         runner.sim,
         runner.topology.clients[0],
         runner.service,
-        MFCConfig(),
         path="/index.html",
         method=Method.HEAD,
     )
@@ -123,7 +122,6 @@ def test_measurer_observes_cross_resource_impact():
         runner.sim,
         runner.topology.clients[-1],
         runner.service,
-        MFCConfig(),
         path="/index.html",
         method=Method.GET,
     )

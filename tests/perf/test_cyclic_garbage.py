@@ -103,7 +103,12 @@ WHOLE_WORLDS = [
         lambda: _world("lab", hardening=True, faults=FAULT_PRESETS["crash"]()),
         id="crash",
     ),
-    pytest.param(lambda: _world(indicator=True), id="indicator"),
+    pytest.param(
+        lambda: WorldSpec(
+            scenario=SCENARIO_PRESETS["qtnp"](), seed=1, indicator=True
+        ),
+        id="indicator",
+    ),
     pytest.param(
         lambda: WorldSpec(
             synthetic=SyntheticSpec(

@@ -132,7 +132,8 @@ CROWD_MODE_DIGESTS = [
      "8c5fce10f75da4c5f26990644c96c99d349e3e1e46c31a6617953f6fe5c9539e"),
     # the remaining build shapes: a load-balanced cluster behind a shared
     # mid-path bottleneck with background and monitor, and the indicator
-    # world with and without a background override
+    # world with and without a background override (an indicator world
+    # reads no fleet or config, so those rows reset both to defaults)
     ("qtp", "exact", None, ("LargeObject", "SmallQuery"),
      {"fleet": FleetSpec(n_clients=40, bottleneck_group="transit",
                          bottleneck_fraction=0.4),
@@ -145,10 +146,12 @@ CROWD_MODE_DIGESTS = [
       "bottleneck_capacity_bps": 40e6, "background_rps": 35.0,
       "monitor_interval_s": 0.5},
      "c46c1c3ba898450d3526b6fc1212659d73a653c2df261ac0c729a6437e288a13"),
-    ("qtnp", "indicator", None, None, {"indicator": True},
+    ("qtnp", "indicator", None, None,
+     {"indicator": True, "fleet": FleetSpec(), "config": MFCConfig()},
      "d1120578d8feb4665e02acdcb7eb70fff4ef5df0c0f568e0d62b3ec115c67df7"),
     ("lab", "indicator", None, None,
-     {"indicator": True, "background_rps": 12.0},
+     {"indicator": True, "fleet": FleetSpec(), "config": MFCConfig(),
+      "background_rps": 12.0},
      "d608387178aea9a0028367ce7e61f475e3e4647fe29b5fc5045b7400aece566a"),
 ]
 

@@ -237,6 +237,19 @@ def test_campaign_requires_population_without_compact(capsys):
     assert "population is required" in capsys.readouterr().err
 
 
+def test_campaign_triage_dry_run_is_refused(capsys, tmp_path):
+    """Phase 2 is planned from phase-1 results, so a triage campaign
+    has no dry expansion: refuse it before anything runs."""
+    cache = tmp_path / "c.d"
+    code = main(["campaign", "startups", "--scale", "0.2", "--triage",
+                 "--dry-run", "--cache", str(cache)])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert "--dry-run cannot expand a --triage campaign" in captured.err
+    assert captured.out == ""
+    assert not cache.exists()
+
+
 def test_campaign_dry_run_prints_stratum_counts(capsys):
     assert main(["campaign", "quantcast", "--scale", "0.02", "--dry-run"]) == 0
     out = capsys.readouterr().out

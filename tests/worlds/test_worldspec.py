@@ -384,6 +384,47 @@ def test_decode_rejects_typoed_field_names():
             codec.decode(doc)
 
 
+@pytest.mark.parametrize(
+    "field,value",
+    [
+        ("fleet", FleetSpec(n_clients=7)),
+        ("config", MFCConfig(max_crowd=30)),
+        ("control_loss_prob", 0.2),
+        ("monitor_interval_s", 1.0),
+        ("use_naive_scheduling", True),
+        ("bottleneck_capacity_bps", 40e6),
+        ("crowd_mode", "cohort"),
+    ],
+)
+def test_indicator_world_rejects_fields_it_never_reads(field, value):
+    """An indicator world runs one probe node against the scenario: a
+    crowd-side field would enter the spec hash without changing a byte
+    of the result, so it must be refused instead."""
+    spec = WorldSpec(
+        scenario=qtnp_server(), seed=3, indicator=True, **{field: value}
+    )
+    with pytest.raises(ValueError, match=rf"unsupported: \['{field}'\]"):
+        spec.validate()
+
+
+def test_synthetic_world_rejects_cohort_crowds():
+    spec = WorldSpec(
+        synthetic=SyntheticSpec(model="linear", params={"seconds_per_request": 0.01}),
+        crowd_mode="cohort",
+    )
+    with pytest.raises(ValueError, match="crowd_mode"):
+        spec.validate()
+
+
+def test_exact_crowd_mode_is_the_default_identity():
+    assert WorldSpec(crowd_mode="exact").crowd_mode is None
+    assert WorldSpec(crowd_mode="exact").spec_hash == WorldSpec().spec_hash
+    world = WorldSpec(scenario=qtnp_server(), seed=5)
+    assert WorldSpec(
+        scenario=qtnp_server(), seed=5, crowd_mode="exact"
+    ).spec_hash == world.spec_hash
+
+
 def test_synthetic_world_rejects_fleet_bottleneck():
     """Synthetic topologies carry no shared bottleneck links, so a
     bottleneck-group fleet must be rejected up front (it would
