@@ -26,6 +26,11 @@ from repro.net.link import Link, Network
 from repro.sim.kernel import SimulationError, Simulator
 from repro.sim.rng import RNGRegistry
 
+#: first fill of a per-client latency stream, in doubles (two per
+#: lognormal sample): in the bench worlds a path's stream draws a
+#: median 6 to 38 doubles, so most streams fill once or twice
+LATENCY_CHUNK = 32
+
 
 @dataclass(frozen=True)
 class ClientSpec:
@@ -148,12 +153,16 @@ class Topology:
                     cspec.rtt_to_target,
                     jitter=cspec.jitter,
                     spike_prob=cspec.spike_prob,
-                    rng=rngs.stream(f"lat.target.{cspec.client_id}"),
+                    rng=rngs.replay_stream(
+                        f"lat.target.{cspec.client_id}", LATENCY_CHUNK
+                    ),
                 ),
                 latency_to_coord=StationaryJitterLatency(
                     cspec.rtt_to_coord,
                     jitter=cspec.jitter,
-                    rng=rngs.stream(f"lat.coord.{cspec.client_id}"),
+                    rng=rngs.replay_stream(
+                        f"lat.coord.{cspec.client_id}", LATENCY_CHUNK
+                    ),
                 ),
             )
             self.clients.append(node)
@@ -166,7 +175,6 @@ class Topology:
             rng=rngs.stream("control.loss"),
             loss_prob=spec.control_loss_prob,
         )
-        self._rngs = rngs
 
     def client(self, client_id: str) -> ClientNode:
         """Look up a client by id."""

@@ -23,7 +23,7 @@ from repro.server.database import DatabaseSpec
 from repro.server.resources import GIB, MIB, ServerSpec
 
 
-@dataclass
+@dataclass(frozen=True)
 class Scenario:
     """Server side of one experiment world."""
 

@@ -53,10 +53,9 @@ COSMETIC_FIELDS: Dict[str, Set[str]] = {
 #: same ``WorldSpec`` (and its embedded ``Scenario`` with the whole
 #: site-content tree) once for the job key and again for
 #: ``spec_hash``/dry-run accounting — at 100k-job grids the repeated
-#: deep walks dominate expansion time.  Memoized specs are treated as
-#: immutable once encoded: mutating a field afterwards will NOT refresh
-#: the cached canonical form (``dataclasses.replace`` makes a fresh,
-#: memo-free instance and is the supported way to derive variants).
+#: deep walks dominate expansion time.  Both types are frozen, so a
+#: memo can never go stale (``dataclasses.replace`` makes a fresh,
+#: memo-free instance and is the way to derive variants).
 CANONICAL_MEMO_TYPES: Set[str] = {"WorldSpec", "Scenario"}
 
 #: decodable dataclasses, by class name (the ``__dc__`` tag)

@@ -42,6 +42,11 @@ from repro.worlds.registry import SYNTHETIC_MODELS
 #: nodes used by background traffic (never part of the MFC crowd)
 N_BACKGROUND_CLIENTS = 8
 
+#: first fill of a client's stream, in doubles: it draws once per
+#: liveness probe, so once in a cohort world and about 20 times under
+#: the hardened coordinator's faulted runs
+CLIENT_STREAM_CHUNK = 8
+
 
 @codec.register_spec_type
 @dataclass(frozen=True)
@@ -107,7 +112,7 @@ def _scenario_servers(sim, scenario: Scenario, topology):
 
 
 @codec.register_spec_type
-@dataclass
+@dataclass(frozen=True)
 class WorldSpec:
     """Declarative description of one experiment world."""
 
@@ -154,16 +159,16 @@ class WorldSpec:
 
     def __post_init__(self) -> None:
         if self.stages is not None:
-            self.stages = tuple(self.stages)
+            object.__setattr__(self, "stages", tuple(self.stages))
         if self.planner == PlannerSpec():
             # an explicit default-linear planner IS the default: fold it
             # to None so the spec hash (and every campaign job key) of
             # `--planner linear` equals the planner-less world it
             # byte-identically reproduces
-            self.planner = None
+            object.__setattr__(self, "planner", None)
         if self.crowd_mode == "exact":
             # likewise: "exact" is the default crowd mode
-            self.crowd_mode = None
+            object.__setattr__(self, "crowd_mode", None)
 
     @property
     def hardened(self) -> bool:
@@ -386,10 +391,11 @@ class WorldSpec:
                 topology.client(spec.client_id),
                 service,
                 topology.control,
-                rng=rngs.stream(
+                rng=rngs.replay_stream(
                     "indicator.probe"
                     if self.indicator
-                    else f"client.{spec.client_id}"
+                    else f"client.{spec.client_id}",
+                    CLIENT_STREAM_CHUNK,
                 ),
             )
             for spec in crowd

@@ -159,6 +159,29 @@ def test_log_retains_at_most_80_bytes_per_record():
     assert retained / n <= 80, f"{retained / n:.0f} B per record"
 
 
+def test_built_cohort_world_is_small_and_freed_by_refcount():
+    """A 600-client cohort world carries three per-member random streams
+    per client; as full ``random.Random`` objects they would be 5 MiB of
+    a 6 MiB build."""
+    spec = _world("qtp", 600, 600, 60, crowd_mode="cohort", seed=0)
+    spec.build()  # warm the per-site caches, which outlive any world
+    gc.collect()
+    gc.disable()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        runner = spec.build()
+        built = tracemalloc.get_traced_memory()[0] - before
+        del runner
+        # only allocator free lists may keep anything
+        left = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+        gc.enable()
+    assert built <= 2 * 2**20, f"{built / 2**20:.2f} MiB"
+    assert left <= built / 10, f"{left / 2**10:.0f} KiB of {built / 2**10:.0f} KiB kept"
+
+
 # -- reports -----------------------------------------------------------------------
 
 

@@ -1,6 +1,11 @@
 """Tests for RNG streams and tracing."""
 
+import random
+
+import pytest
+
 from repro.sim import Probe, RNGRegistry, Simulator, TraceLog
+from repro.sim.rng import MAX_FILL, ReplayStream
 
 
 def test_same_seed_same_stream():
@@ -40,6 +45,47 @@ def test_fork_deterministic():
     a = RNGRegistry(9).fork("site-17").stream("x").random()
     b = RNGRegistry(9).fork("site-17").stream("x").random()
     assert a == b
+
+
+# -- replay streams -----------------------------------------------------------------
+
+
+def _interleaved(rng, n):
+    """*n* draws alternating runs of random() and gauss(), with an odd
+    run of gauss so a cached second normal crosses refills."""
+    out = []
+    for i in range(n):
+        if i % 7 < 3:
+            out.append(rng.gauss(0.0, 1.0))
+        else:
+            out.append(rng.random())
+    return out
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2**64 - 1])
+@pytest.mark.parametrize("chunk", [1, 3, 32])
+def test_replay_stream_draws_exactly_what_random_does(seed, chunk):
+    # 1200 draws take about 1200 doubles: the first fill, the doubling
+    # refills that replay, then refills from the kept generator
+    stream = ReplayStream(seed, chunk)
+    assert _interleaved(stream, 1200) == _interleaved(random.Random(seed), 1200)
+    assert stream._generated > 4 * MAX_FILL
+
+
+def test_registry_replay_stream_matches_the_full_stream():
+    reg = RNGRegistry(11)
+    replay = reg.replay_stream("lat.target.pl001", 4)
+    assert reg.replay_stream("lat.target.pl001", 4) is replay
+    full = RNGRegistry(11).stream("lat.target.pl001")
+    assert _interleaved(replay, 300) == _interleaved(full, 300)
+
+
+@pytest.mark.parametrize(
+    "method", ["choice", "sample", "expovariate", "uniform", "getrandbits", "seed", "getstate"]
+)
+def test_replay_stream_has_no_other_methods(method):
+    with pytest.raises(AttributeError):
+        getattr(ReplayStream(5, 4), method)
 
 
 def test_probe_records_with_timestamps():

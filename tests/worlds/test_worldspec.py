@@ -192,6 +192,24 @@ def test_explicit_default_planner_folds_to_none():
     assert kept.planner is not None
 
 
+def test_specs_are_frozen_so_a_memoised_hash_never_goes_stale():
+    """The codec memoises ``spec_hash`` on the instance, so a spec that
+    could be edited after hashing would keep the old key and be served
+    another world's cached result."""
+    import dataclasses
+
+    spec = WorldSpec(scenario=qtnp_server(), seed=1)
+    key = spec.spec_hash
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        spec.seed = 2
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        spec.scenario.background_rps = 5.0
+    assert spec.spec_hash == key == WorldSpec(scenario=qtnp_server(), seed=1).spec_hash
+    assert dataclasses.replace(spec, seed=2).spec_hash == (
+        WorldSpec(scenario=qtnp_server(), seed=2).spec_hash
+    )
+
+
 def test_new_stage_world_runs_and_infers():
     from repro.core.inference import infer_constraints
 
