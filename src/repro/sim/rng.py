@@ -14,8 +14,8 @@ has one of each, and most of them call ``choice``, ``sample``,
 :meth:`RNGRegistry.replay_stream` returns a :class:`ReplayStream`; the
 per-member streams (``client.<id>``, ``lat.target.<id>``,
 ``lat.coord.<id>``) use it.  A 600-client world holds 1,800 of those
-and each draws a few dozen times at most, so 2.5 KiB of Mersenne state
-apiece would be most of the world's memory.
+and most draw a few dozen times, so 2.5 KiB of Mersenne state apiece
+would be most of the world's memory.
 
 A :class:`ReplayStream` is exact, not an approximation: it keeps only
 its seed, a count of the doubles generated so far and a small buffer of
