@@ -7,8 +7,9 @@ into *campaigns*:
 - :mod:`repro.campaign.spec` — ordered lists of :class:`JobSpec`
   entries (world / callable payloads) with
   stable SHA-256 job keys hashed by :mod:`repro.worlds.codec`;
-- :mod:`repro.campaign.executor` — a process-pool executor with a
-  byte-identical sequential fallback;
+- :mod:`repro.campaign.executor` — runs jobs in batches, in this
+  process or over a process pool, and commits both through one loop
+  (byte-identical results either way);
 - :mod:`repro.campaign.store` — an append-only, sharded JSONL result
   store, so interrupted campaigns resume without recomputation and
   repeated benchmark runs hit cache;

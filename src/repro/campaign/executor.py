@@ -1,4 +1,4 @@
-"""Campaign execution: a sequential fallback and a batched worker pool.
+"""Campaign execution: batches of jobs, in this process or a worker pool.
 
 Every job rebuilds its world from scratch inside ``execute_job`` with
 an explicit seed, so a job's result is a pure function of its
@@ -6,10 +6,15 @@ an explicit seed, so a job's result is a pure function of its
 any order, batched or not, or resuming from a half-finished store
 yields results identical to the sequential loop.
 
-The parent process is the only writer of the result store: workers
-return encoded results over the pool's pipe and the parent appends
-them as they complete, so an interrupted campaign keeps every job
-finished before the kill.
+Fresh jobs run in batches, and every batch lands through one commit
+loop: a batch returns its finished results plus the first error, the
+parent appends those results to the store, ticks the progress line
+and yields each job, and the first error is raised once everything
+finished has been committed.  Only the batch source differs.  With
+``jobs`` ≤ 1 (or a single fresh job) it runs one-job batches in this
+process; otherwise it fans batches over a ``ProcessPoolExecutor``.
+The parent process is the only writer of the result store, so an
+interrupted campaign keeps every job finished before the kill.
 
 Dispatch granularity is the 100k-world lever: per-task future/IPC
 bookkeeping and per-record ``fsync`` dominate once jobs shrink to
@@ -24,8 +29,8 @@ resume re-runs exactly those jobs.
 :func:`iter_campaign` is the streaming form: it yields each
 :class:`JobOutcome` as it lands (cached hits first, fresh results in
 completion order) so population-scale aggregations never hold every
-decoded result in memory.  :func:`run_campaign` keeps the historical
-contract — a list in campaign order.
+decoded result in memory.  :func:`run_campaign` orders the same
+outcomes by campaign position.
 """
 
 from __future__ import annotations
@@ -78,6 +83,8 @@ HARDENED_COST_FACTOR = 1.3
 #: macro-flows; measured 6–20x faster per world depending on crowd
 #: size, so cohort jobs pack roughly an order of magnitude denser
 COHORT_COST_FACTOR = 0.1
+#: seconds before a raising job's first retry; doubles per attempt
+RETRY_BACKOFF_S = 0.5
 
 
 @dataclass
@@ -97,42 +104,6 @@ class JobOutcome:
     def dead(self) -> bool:
         """True when the job exhausted its timeout/retry budget."""
         return isinstance(self.result, DeadLetter)
-
-
-@dataclass(frozen=True)
-class RetryPolicy:
-    """Opt-in failure policy for campaign jobs.
-
-    With the default policy (no timeout, no retries) a failing job
-    propagates its exception exactly as it always has.  Setting a
-    timeout or a retry budget switches the campaign to dead-letter
-    mode: a job that exhausts the budget commits a
-    :class:`~repro.campaign.codec.DeadLetter` record in place of its
-    result and the campaign keeps going.  Timeouts are never retried —
-    a deterministic world that hung once will hang again — while
-    errors retry up to *retries* times with exponential backoff.
-    """
-
-    #: wall-clock budget per attempt (None = unlimited)
-    job_timeout_s: Optional[float] = None
-    #: extra attempts after a raising (not hanging) first attempt
-    retries: int = 0
-    #: base backoff before the first retry; doubles per attempt
-    retry_backoff_s: float = 0.5
-
-    def __post_init__(self) -> None:
-        if self.job_timeout_s is not None and self.job_timeout_s <= 0:
-            raise ValueError(f"job_timeout_s must be > 0: {self.job_timeout_s}")
-        if self.retries < 0:
-            raise ValueError(f"retries must be >= 0: {self.retries}")
-        if self.retry_backoff_s < 0:
-            raise ValueError(
-                f"retry_backoff_s must be >= 0: {self.retry_backoff_s}"
-            )
-
-    @property
-    def enabled(self) -> bool:
-        return self.job_timeout_s is not None or self.retries > 0
 
 
 class JobTimeout(RuntimeError):
@@ -169,48 +140,49 @@ def _watchdog(seconds: Optional[float]):
         signal.signal(signal.SIGALRM, previous)
 
 
-def _execute_with_policy(
-    job: JobSpec, detail: str, policy: RetryPolicy
+def _run_job(
+    job: JobSpec, detail: str, job_timeout_s: Optional[float], retries: int
 ) -> Tuple[Dict, float]:
-    """Run one job under *policy*; returns ``(encoded, elapsed)``.
+    """Run one job: ``(encoded result, elapsed)``.
 
-    Never raises for job failures: a job that exhausts the budget
-    returns an encoded :class:`DeadLetter` document, which the parent
-    commits and yields like any other result.  ``KeyboardInterrupt``
-    and other non-``Exception`` escapes still propagate.
+    With no timeout and no retries a failing job raises, exactly as it
+    always has.  Setting either switches the job to dead-letter mode: a
+    job that exhausts the budget returns an encoded
+    :class:`~repro.campaign.codec.DeadLetter` document in place of its
+    result, which the parent commits and yields like any other result.
+    Timeouts are never retried, while errors retry up to *retries*
+    times with exponential backoff from ``RETRY_BACKOFF_S``.
+    ``KeyboardInterrupt`` and other non-``Exception`` escapes always
+    propagate.
     """
     started = time.monotonic()
+    if job_timeout_s is None and not retries:
+        return execute_job(job, detail), time.monotonic() - started
     attempts = 0
     while True:
         attempts += 1
         try:
-            with _watchdog(policy.job_timeout_s):
+            with _watchdog(job_timeout_s):
                 encoded = execute_job(job, detail)
             return encoded, time.monotonic() - started
         except JobTimeout as exc:
             # deterministic worlds hang deterministically: retrying a
             # timeout would just burn another full budget
-            elapsed = time.monotonic() - started
-            letter = DeadLetter(
-                job_id=job.job_id,
-                reason="timeout",
-                error=repr(exc),
-                attempts=attempts,
-                elapsed_s=round(elapsed, 3),
-            )
-            return encode_result(letter), elapsed
+            reason, error = "timeout", repr(exc)
         except Exception as exc:  # noqa: BLE001 - converted to DeadLetter
-            if attempts > policy.retries:
-                elapsed = time.monotonic() - started
-                letter = DeadLetter(
-                    job_id=job.job_id,
-                    reason="error",
-                    error=repr(exc),
-                    attempts=attempts,
-                    elapsed_s=round(elapsed, 3),
-                )
-                return encode_result(letter), elapsed
-            time.sleep(policy.retry_backoff_s * (2 ** (attempts - 1)))
+            if attempts <= retries:
+                time.sleep(RETRY_BACKOFF_S * (2 ** (attempts - 1)))
+                continue
+            reason, error = "error", repr(exc)
+        elapsed = time.monotonic() - started
+        letter = DeadLetter(
+            job_id=job.job_id,
+            reason=reason,
+            error=error,
+            attempts=attempts,
+            elapsed_s=round(elapsed, 3),
+        )
+        return encode_result(letter), elapsed
 
 
 def execute_job(job: JobSpec, detail: str = SUMMARY) -> Dict:
@@ -280,41 +252,37 @@ def auto_batch_size(jobs: Sequence[JobSpec], workers: int) -> int:
     return max(1, min(size, MAX_BATCH_SIZE, balance_cap))
 
 
-def _run_job(
-    job: JobSpec, detail: str, policy: Optional[RetryPolicy]
-) -> Tuple[Dict, float]:
-    """Run one job: ``(encoded result, elapsed)``.
-
-    Under an enabled *policy* a failing job returns a dead letter;
-    otherwise its exception propagates.
-    """
-    if policy is not None and policy.enabled:
-        return _execute_with_policy(job, detail, policy)
-    started = time.monotonic()
-    encoded = execute_job(job, detail)
-    return encoded, time.monotonic() - started
-
-
 def _pool_worker_batch(
-    jobs: List[JobSpec], detail: str, policy: Optional[RetryPolicy] = None
+    jobs: List[JobSpec],
+    detail: str,
+    job_timeout_s: Optional[float] = None,
+    retries: int = 0,
 ) -> Tuple[List[Tuple[str, Dict, float]], Optional[BaseException]]:
-    """Batched pool entry point: finished results + the first error.
+    """Run *jobs* in order: finished results + the first error.
 
     A job failure does not discard the batch's earlier results — they
     travel back with the error so the parent commits them before the
     failure propagates, keeping resume granularity per-job even under
-    batched dispatch.  Under an enabled :class:`RetryPolicy` a failing
-    job lands as a dead-letter result instead, so the batch (and the
-    campaign) always runs to completion.
+    batched dispatch.  In dead-letter mode a failing job lands as a
+    dead-letter result instead (see :func:`_run_job`), so the batch
+    runs to completion.
+
+    This is the pool's task body, looked up at submit time so a
+    profiler may wrap it for the workers; the in-process path calls
+    the unwrapped body through ``_run_batch``.
     """
     results: List[Tuple[str, Dict, float]] = []
     for job in jobs:
         try:
-            encoded, elapsed = _run_job(job, detail, policy)
+            encoded, elapsed = _run_job(job, detail, job_timeout_s, retries)
         except BaseException as exc:  # noqa: BLE001 - re-raised by parent
             return results, exc
         results.append((job.key, encoded, elapsed))
     return results, None
+
+
+#: the unwrapped batch body, which the in-process path calls directly
+_run_batch = _pool_worker_batch
 
 
 def _record(job: JobSpec, encoded: Dict, detail: str, elapsed_s: float) -> Dict:
@@ -342,191 +310,161 @@ def iter_campaign(
     jobs: Optional[int] = None,
     store: Optional[Union[ResultStore, str, Path]] = None,
     detail: str = SUMMARY,
-    progress: Union[bool, ProgressReporter] = False,
+    progress: bool = False,
     batch: Optional[int] = None,
     job_timeout_s: Optional[float] = None,
     retries: int = 0,
-    retry_backoff_s: float = 0.5,
 ) -> Iterator[JobOutcome]:
     """Run every job of *spec*, yielding outcomes as they land.
 
-    The streaming counterpart of :func:`run_campaign`: cached jobs are
-    yielded up front, fresh jobs as their results commit (completion
-    order under a pool, campaign order sequentially), and jobs sharing
-    a key yield right after the one execution that serves them.  Every
-    job of the campaign yields exactly one outcome; the order across
-    the whole run is unspecified, so aggregations should key on
-    ``outcome.meta``.  Nothing holds more than one decoded result at a
-    time on the consumer's behalf — this is the ≥100k-job path.
+    Cached jobs are yielded up front, fresh jobs as their results
+    commit (completion order under a pool, campaign order in this
+    process), and jobs sharing a key yield right after the one
+    execution that serves them.  Every job of the campaign yields
+    exactly one outcome; the order across the whole run is
+    unspecified, so aggregations should key on ``outcome.meta``.
+    Nothing holds more than one decoded result at a time on the
+    consumer's behalf — this is the ≥100k-job path.
 
-    *batch* sets how many jobs ride in one worker task (default: auto
-    by estimated job cost; byte-identical results at any size).
+    *jobs* > 1 fans fresh work over that many worker processes;
+    ``None``/1 runs it in this process.  Both produce identical
+    results because every job world is deterministic in its spec.
+    *store* (a :class:`ResultStore` or a shard-directory path) makes
+    the campaign resumable: jobs whose key is already stored are
+    served from it without recomputation.  *batch* sets how many jobs
+    ride in one worker task (default: auto by estimated job cost;
+    byte-identical results at any size).  *progress* prints throttled
+    progress lines to stderr.
 
-    *job_timeout_s* / *retries* / *retry_backoff_s* enable dead-letter
-    mode (see :class:`RetryPolicy`): a hung or repeatedly failing job
-    lands as a :class:`~repro.campaign.codec.DeadLetter` outcome and
-    the campaign completes instead of hanging or aborting.  With the
-    defaults the historical contract holds: failures raise.
+    *job_timeout_s* / *retries* enable dead-letter mode (see
+    :func:`_run_job`): a hung or repeatedly failing job lands as a
+    :class:`~repro.campaign.codec.DeadLetter` outcome and the campaign
+    completes instead of hanging or aborting.  With the defaults
+    failures raise, once every job finished before them is committed.
     """
-    if isinstance(spec, CampaignSpec):
-        job_list = spec.expand()
-        label = spec.name
-    else:
-        job_list = list(spec)
-        label = "campaign"
-    if not isinstance(store, ResultStore):
-        store = ResultStore(store)
+    if jobs is not None and jobs < 1:
+        raise ValueError(f"jobs must be >= 1: {jobs}")
     if batch is not None and batch < 1:
         raise ValueError(f"batch must be >= 1: {batch}")
-    policy = RetryPolicy(
-        job_timeout_s=job_timeout_s,
-        retries=retries,
-        retry_backoff_s=retry_backoff_s,
-    )
+    if job_timeout_s is not None and job_timeout_s <= 0:
+        raise ValueError(f"job_timeout_s must be > 0: {job_timeout_s}")
+    if retries < 0:
+        raise ValueError(f"retries must be >= 0: {retries}")
+    if isinstance(spec, CampaignSpec):
+        label, job_list = spec.name, spec.jobs
+    else:
+        label, job_list = "campaign", list(spec)
+    if not isinstance(store, ResultStore):
+        store = ResultStore(store)
 
-    fresh: List[JobSpec] = []  # first job per not-yet-stored key
+    fresh: Dict[str, JobSpec] = {}  # first job per not-yet-stored key
     #: jobs whose key some earlier fresh job computes (yield on land)
     deferred: Dict[str, List[JobSpec]] = {}
     cached: List[JobSpec] = []
-    seen_keys = set()
     for job in job_list:
-        if job.key in seen_keys:
+        if job.key in fresh:
             deferred.setdefault(job.key, []).append(job)
         elif store.get(job.key, detail) is not None:
             cached.append(job)
         else:
-            seen_keys.add(job.key)
-            fresh.append(job)
+            fresh[job.key] = job
 
-    reporter: Optional[ProgressReporter]
-    if isinstance(progress, ProgressReporter):
-        reporter = progress
-    elif progress:
+    reporter = None
+    if progress:
         reporter = ProgressReporter(total=len(job_list), label=label)
-    else:
-        reporter = None
-    if reporter is not None:
         reporter.start(cached=len(job_list) - len(fresh))
 
     for job in cached:
         yield _outcome(job, store.get(job.key, detail), cached=True)
 
-    def land(job: JobSpec) -> Iterator[JobOutcome]:
-        record = store.get(job.key, detail)
-        if record is None:  # pragma: no cover - defensive
-            raise RuntimeError(f"job {job.job_id!r} finished without a record")
-        yield _outcome(job, record, cached=False)
-        for twin in deferred.pop(job.key, ()):
-            yield _outcome(twin, record, cached=True)
-
-    if jobs is not None and jobs > 1 and len(fresh) > 1:
-        for done_job in _run_pool(
-            fresh, jobs, store, detail, reporter, batch, policy
-        ):
-            yield from land(done_job)
-    else:
-        for job in fresh:
-            encoded, elapsed = _run_job(job, detail, policy)
-            store.append(_record(job, encoded, detail, elapsed))
+    first_error: Optional[BaseException] = None
+    for results, error in _batches(
+        list(fresh.values()), jobs, batch, detail, job_timeout_s, retries
+    ):
+        if results:
+            store.append_batch(
+                [
+                    _record(fresh[key], encoded, detail, elapsed)
+                    for key, encoded, elapsed in results
+                ]
+            )
             if reporter is not None:
-                reporter.job_done()
-            yield from land(job)
+                reporter.job_done(len(results))
+        if first_error is None:
+            first_error = error
+        for key, _, _ in results:
+            job, record = fresh[key], store.get(key, detail)
+            if record is None:  # pragma: no cover - defensive
+                raise RuntimeError(f"job {job.job_id!r} finished without a record")
+            yield _outcome(job, record, cached=False)
+            for twin in deferred.pop(key, ()):
+                yield _outcome(twin, record, cached=True)
+    if first_error is not None:
+        raise first_error
     if reporter is not None:
         reporter.finish()
 
     for twins in deferred.values():  # pragma: no cover - defensive
-        # every fresh key lands (or the pool raised before this line),
+        # every fresh key lands (or a batch raised before this line),
         # so a leftover twin means the executor lost a job
         for twin in twins:
             raise RuntimeError(f"job {twin.job_id!r} finished without a record")
 
 
 def run_campaign(
-    spec: Union[CampaignSpec, Sequence[JobSpec]],
-    jobs: Optional[int] = None,
-    store: Optional[Union[ResultStore, str, Path]] = None,
-    detail: str = SUMMARY,
-    progress: Union[bool, ProgressReporter] = False,
-    batch: Optional[int] = None,
-    job_timeout_s: Optional[float] = None,
-    retries: int = 0,
-    retry_backoff_s: float = 0.5,
+    spec: Union[CampaignSpec, Sequence[JobSpec]], **options
 ) -> List[JobOutcome]:
-    """Run every job of *spec*; return outcomes in campaign order.
-
-    *jobs* > 1 fans pending work over a ``ProcessPoolExecutor``;
-    ``None``/1 runs the sequential fallback in this process — the two
-    paths produce identical results because every job world is
-    deterministic in its spec.  *store* (a :class:`ResultStore` or a
-    shard-directory path) makes the campaign resumable: jobs whose key
-    is already stored are returned from cache without recomputation.
-    Jobs sharing a key (identical
-    parameters) execute once.  *batch* controls pool dispatch
-    granularity (see :func:`iter_campaign`).
+    """:func:`iter_campaign` (same *options*), in campaign order.
 
     This materializes every outcome — fine for grids up to a few
     thousand jobs; population-scale runs should consume
     :func:`iter_campaign` instead.
     """
-    if isinstance(spec, CampaignSpec):
-        job_list = spec.expand()
-    else:
-        job_list = list(spec)
-    by_id = {
-        id(job): index for index, job in enumerate(job_list)
-    }
-    outcomes: List[Optional[JobOutcome]] = [None] * len(job_list)
-    for outcome in iter_campaign(
-        job_list if not isinstance(spec, CampaignSpec) else spec,
-        jobs=jobs,
-        store=store,
-        detail=detail,
-        progress=progress,
-        batch=batch,
-        job_timeout_s=job_timeout_s,
-        retries=retries,
-        retry_backoff_s=retry_backoff_s,
-    ):
-        outcomes[by_id[id(outcome.job)]] = outcome
-    missing = [job_list[i].job_id for i, o in enumerate(outcomes) if o is None]
-    if missing:  # pragma: no cover - defensive
-        raise RuntimeError(f"jobs finished without a record: {missing[:3]}")
+    if not isinstance(spec, CampaignSpec):
+        spec = CampaignSpec(name="campaign", jobs=list(spec))
+    #: positions per job object: a job listed twice fills both slots
+    slots: Dict[int, List[int]] = {}
+    for index, job in enumerate(spec.jobs):
+        slots.setdefault(id(job), []).append(index)
+    outcomes: List[Optional[JobOutcome]] = [None] * len(spec.jobs)
+    for outcome in iter_campaign(spec, **options):
+        outcomes[slots[id(outcome.job)].pop(0)] = outcome
     return outcomes  # type: ignore[return-value]
 
 
-def _chunk(jobs: List[JobSpec], size: int) -> List[List[JobSpec]]:
-    return [jobs[i : i + size] for i in range(0, len(jobs), size)]
-
-
-def _run_pool(
+def _batches(
     pending: List[JobSpec],
-    max_workers: int,
-    store: ResultStore,
-    detail: str,
-    reporter: Optional[ProgressReporter],
+    jobs: Optional[int],
     batch: Optional[int],
-    policy: RetryPolicy,
-) -> Iterator[JobSpec]:
-    """Fan *pending* over worker processes, committing as results land.
+    detail: str,
+    job_timeout_s: Optional[float],
+    retries: int,
+) -> Iterator[Tuple[List[Tuple[str, Dict, float]], Optional[BaseException]]]:
+    """Run *pending*, yielding each batch's ``(results, error)`` as it ends.
 
-    Yields each job right after its record is committed, so callers
-    stream outcomes without waiting for the pool to drain.  On a job
-    failure the queued-but-unstarted tasks are cancelled, but every
-    job that completes — including the finished prefix of the failing
-    batch and in-flight tasks the pool must wait out — is still
-    committed to the store before the failure propagates, so a resume
-    after the fix re-runs only what never finished.
+    With ``jobs`` ≤ 1, or one pending job, every job is a one-job batch
+    run here, in campaign order, and the first error stops the rest.
+    Otherwise batches fan over a worker pool: on a job failure the
+    queued-but-unstarted tasks are cancelled, but every task that
+    completes — including the finished prefix of the failing batch and
+    in-flight tasks the pool must wait out — is still yielded, so the
+    caller commits it before the failure propagates.
     """
-    by_key = {job.key: job for job in pending}
-    workers = min(max_workers, len(pending))
+    if jobs is None or jobs == 1 or len(pending) <= 1:
+        for job in pending:
+            results, error = _run_batch([job], detail, job_timeout_s, retries)
+            yield results, error
+            if error is not None:
+                return
+        return
+    workers = min(jobs, len(pending))
     if batch is None:
         batch = auto_batch_size(pending, workers)
-    batches = _chunk(pending, batch)
-    first_error: Optional[BaseException] = None
-    with ProcessPoolExecutor(max_workers=min(workers, len(batches))) as pool:
+    chunks = [pending[i : i + batch] for i in range(0, len(pending), batch)]
+    with ProcessPoolExecutor(max_workers=min(workers, len(chunks))) as pool:
         futures = {
-            pool.submit(_pool_worker_batch, chunk, detail, policy)
-            for chunk in batches
+            pool.submit(_pool_worker_batch, chunk, detail, job_timeout_s, retries)
+            for chunk in chunks
         }
         while futures:
             done, futures = wait(futures, return_when=FIRST_COMPLETED)
@@ -535,20 +473,7 @@ def _run_pool(
                     results, error = future.result()
                 except BaseException as exc:  # noqa: BLE001
                     results, error = [], exc
-                if results:
-                    store.append_batch(
-                        [
-                            _record(by_key[key], encoded, detail, elapsed)
-                            for key, encoded, elapsed in results
-                        ]
-                    )
-                    if reporter is not None:
-                        reporter.job_done(len(results))
-                if error is not None and first_error is None:
-                    first_error = error
+                if error is not None:
                     for queued in futures:
                         queued.cancel()
-                for key, _, _ in results:
-                    yield by_key[key]
-    if first_error is not None:
-        raise first_error
+                yield results, error

@@ -139,13 +139,6 @@ class CampaignSpec:
     name: str
     jobs: List[JobSpec] = field(default_factory=list)
 
-    def expand(self) -> List[JobSpec]:
-        """The jobs, in deterministic campaign order."""
-        return list(self.jobs)
-
-    def __len__(self) -> int:
-        return len(self.jobs)
-
     @classmethod
     def for_study(
         cls,

@@ -43,7 +43,7 @@ import math
 from dataclasses import dataclass, field, replace
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
-from repro.campaign.codec import SUMMARY, DeadLetter
+from repro.campaign.codec import DeadLetter
 from repro.campaign.executor import iter_campaign
 from repro.campaign.spec import (
     JobSpec,
@@ -298,7 +298,6 @@ def iter_triage(
     jobs: Optional[int] = None,
     batch: Optional[int] = None,
     store: Optional[Union[ResultStore, str]] = None,
-    detail: str = SUMMARY,
     progress: bool = False,
     time_limit_s: float = 1e7,
     job_timeout_s: Optional[float] = None,
@@ -336,8 +335,8 @@ def iter_triage(
     phase2: List[JobSpec] = []
     seen_keys: Dict[str, JobSpec] = {}
     for outcome in iter_campaign(
-        phase1, jobs=jobs, batch=batch, store=store, detail=detail,
-        progress=progress, job_timeout_s=job_timeout_s, retries=retries,
+        phase1, jobs=jobs, batch=batch, store=store, progress=progress,
+        job_timeout_s=job_timeout_s, retries=retries,
     ):
         if isinstance(outcome.result, DeadLetter):
             # the site could not even be swept; surface it rather
@@ -385,8 +384,8 @@ def iter_triage(
     if not phase2:
         return
     for outcome in iter_campaign(
-        phase2, jobs=jobs, batch=batch, store=store, detail=detail,
-        progress=progress, job_timeout_s=job_timeout_s, retries=retries,
+        phase2, jobs=jobs, batch=batch, store=store, progress=progress,
+        job_timeout_s=job_timeout_s, retries=retries,
     ):
         result = outcome.result
         for record in by_key[outcome.job.key]:

@@ -721,11 +721,10 @@ def cmd_campaign(args) -> int:
             spec = CampaignSpec.for_study(
                 sites, stage, config=config, fleet_spec=fleet_spec, seed=args.seed
             )
-            jobs = spec.expand()
-            keys = [job.key for job in jobs]
+            keys = [job.key for job in spec.jobs]
             digest = hashlib.sha256("".join(keys).encode("ascii")).hexdigest()
             print(
-                f"campaign {spec.name}: {len(jobs)} jobs, "
+                f"campaign {spec.name}: {len(keys)} jobs, "
                 f"{len(set(keys))} distinct keys"
             )
             print(f"keys-digest: sha256:{digest}")
@@ -847,6 +846,10 @@ def cmd_triage(args) -> int:
         min_clients=_default_min_clients(args.clients),
     )
     fleet_spec = FleetSpec(n_clients=args.clients)
+    if args.crowd_mode is not None and not args.active:
+        print("repro triage: --crowd-mode requires --active (the "
+              "indicator sweep fields no crowds)", file=sys.stderr)
+        return 2
     if args.active:
         from repro.campaign.triage import run_triage
 
@@ -1116,9 +1119,24 @@ def cmd_perf(args) -> int:
     return 0
 
 
+#: dispatch flags and the bound each must meet: (dest, flag, rule, test)
+_DISPATCH_BOUNDS = (
+    ("jobs", "--jobs", ">= 1", lambda value: value >= 1),
+    ("batch", "--batch", ">= 1", lambda value: value >= 1),
+    ("job_timeout", "--job-timeout", "> 0", lambda value: value > 0),
+    ("retries", "--retries", ">= 0", lambda value: value >= 0),
+)
+
+
 def main(argv: Optional[List[str]] = None) -> int:
     """Entry point; returns the process exit code."""
     args = build_parser().parse_args(argv)
+    for dest, flag, rule, test in _DISPATCH_BOUNDS:
+        value = getattr(args, dest, None)
+        if value is not None and not test(value):
+            print(f"repro {args.command}: {flag} must be {rule}: {value:g}",
+                  file=sys.stderr)
+            return 2
     # open every result-store flag up front, so a bad path fails before
     # any world runs rather than at the first commit
     for flag in ("cache", "fsck", "compact"):

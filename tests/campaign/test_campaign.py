@@ -72,7 +72,7 @@ def test_grid_expansion_is_deterministic():
             for stage in (StageKind.BASE, StageKind.SMALL_QUERY)
             for job in CampaignSpec.for_study(
                 sites, stage, fleet_spec=STUDY_FLEET, seed=seed
-            ).expand()
+            ).jobs
         ]
 
     first, second = make(), make()
@@ -89,7 +89,7 @@ def test_grid_uses_study_seeding():
     spec = CampaignSpec.for_study(
         sites, StageKind.BASE, config=STUDY_CONFIG, fleet_spec=STUDY_FLEET, seed=3
     )
-    jobs = spec.expand()
+    jobs = spec.jobs
     assert [j.world.seed for j in jobs] == [
         derive_site_seed(3, i) for i in range(len(sites))
     ]
@@ -419,14 +419,21 @@ def test_campaign_resumes_from_interrupted_store(tmp_path):
 
 def test_duplicate_jobs_execute_once(tmp_path):
     job = dict(func="campaign_helpers:double", kwargs={"x": 21})
-    spec = CampaignSpec(
-        name="dups",
-        jobs=[JobSpec(job_id="a", **job), JobSpec(job_id="b", **job)],
-    )
-    outcomes = run_campaign(spec, store=tmp_path / "dups.d")
-    assert [o.result for o in outcomes] == [{"doubled": 42}] * 2
-    assert [o.cached for o in outcomes] == [False, True]
-    assert ResultStore(tmp_path / "dups.d").fsck()["totals"]["lines"] == 1
+    same = JobSpec(job_id="a", **job)
+    for jobs in (None, 2):
+        for name, listed in (
+            ("twins", [JobSpec(job_id="a", **job), JobSpec(job_id="b", **job)]),
+            # one JobSpec object listed twice still fills both positions
+            ("same", [same, same]),
+        ):
+            cache = tmp_path / f"{name}-{jobs}.d"
+            outcomes = run_campaign(
+                CampaignSpec(name="dups", jobs=listed), jobs=jobs, store=cache
+            )
+            assert [o.job for o in outcomes] == listed
+            assert [o.result for o in outcomes] == [{"doubled": 42}] * 2
+            assert [o.cached for o in outcomes] == [False, True]
+            assert ResultStore(cache).fsck()["totals"]["lines"] == 1
 
 
 def test_callable_jobs_parallel(tmp_path):

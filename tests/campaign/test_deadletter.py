@@ -21,8 +21,8 @@ from repro.campaign import (
     iter_campaign,
     run_campaign,
 )
+from repro.campaign import executor
 from repro.campaign.codec import DeadLetter, decode_result, encode_result
-from repro.campaign.executor import RetryPolicy
 from repro.campaign.store import shard_index
 
 
@@ -48,16 +48,25 @@ def record(key, value=0):
 # -- policy validation ------------------------------------------------------------
 
 
-def test_policy_validates_and_reports_enablement():
-    assert not RetryPolicy().enabled
-    assert RetryPolicy(job_timeout_s=1.0).enabled
-    assert RetryPolicy(retries=2).enabled
-    with pytest.raises(ValueError):
-        RetryPolicy(job_timeout_s=0.0)
-    with pytest.raises(ValueError):
-        RetryPolicy(retries=-1)
-    with pytest.raises(ValueError):
-        RetryPolicy(retry_backoff_s=-0.1)
+def test_policy_validates_and_reports_enablement(monkeypatch):
+    ok = [job("ok", x=1)]
+    for options, message in (
+        ({"job_timeout_s": 0.0}, "job_timeout_s must be > 0"),
+        ({"retries": -1}, "retries must be >= 0"),
+        ({"jobs": 0}, "jobs must be >= 1"),
+        ({"batch": 0}, "batch must be >= 1"),
+    ):
+        with pytest.raises(ValueError, match=message):
+            list(iter_campaign(ok, **options))
+    # either knob switches a raising job to a dead letter; neither
+    # leaves the failure to propagate
+    monkeypatch.setattr(executor, "RETRY_BACKOFF_S", 0.0)
+    boom = [job("boom", func="campaign_helpers:boom")]
+    with pytest.raises(RuntimeError, match="job failure propagates"):
+        list(iter_campaign(boom))
+    for options in ({"job_timeout_s": 30.0}, {"retries": 1}):
+        (outcome,) = iter_campaign(boom, **options)
+        assert outcome.dead
 
 
 # -- dead-letter codec ------------------------------------------------------------
@@ -118,7 +127,8 @@ def test_hung_job_dead_letters_under_the_pool(tmp_path):
 # -- raising jobs -----------------------------------------------------------------
 
 
-def test_flaky_job_recovers_within_its_retry_budget(tmp_path):
+def test_flaky_job_recovers_within_its_retry_budget(tmp_path, monkeypatch):
+    monkeypatch.setattr(executor, "RETRY_BACKOFF_S", 0.0)
     marker = tmp_path / "attempts"
     spec = CampaignSpec(
         name="flaky",
@@ -131,16 +141,15 @@ def test_flaky_job_recovers_within_its_retry_budget(tmp_path):
             )
         ],
     )
-    outcomes = run_campaign(spec, retries=2, retry_backoff_s=0.0)
+    outcomes = run_campaign(spec, retries=2)
     assert outcomes[0].result == {"attempts": 3}
     assert not outcomes[0].dead
 
 
-def test_exhausted_retries_dead_letter_with_the_error(tmp_path):
+def test_exhausted_retries_dead_letter_with_the_error(tmp_path, monkeypatch):
+    monkeypatch.setattr(executor, "RETRY_BACKOFF_S", 0.0)
     spec = CampaignSpec(name="boom", jobs=[job("boom", func="campaign_helpers:boom")])
-    outcomes = run_campaign(
-        spec, store=tmp_path / "boom.cache", retries=1, retry_backoff_s=0.0
-    )
+    outcomes = run_campaign(spec, store=tmp_path / "boom.cache", retries=1)
     letter = outcomes[0].result
     assert isinstance(letter, DeadLetter)
     assert letter.reason == "error"

@@ -2,7 +2,7 @@
 
 Covers the 100k-world machinery: the sharded result store (layout,
 lazy loading, batched commits, compaction, corruption handling), the
-batched pool dispatch (parity with the sequential fallback over mixed
+batched pool dispatch (parity with in-process dispatch over mixed
 cached/fresh campaigns, resume after an injected kill, error
 semantics), streaming consumption via ``iter_campaign``, and the
 throttled progress/ETA reporting.
@@ -214,16 +214,20 @@ def test_batch_failure_commits_finished_prefix(tmp_path):
         JobSpec(job_id="boom", func="campaign_helpers:boom"),
         JobSpec(job_id="never", func="campaign_helpers:double", kwargs={"x": 3}),
     ]
-    cache = tmp_path / "cache.d"
-    with pytest.raises(RuntimeError, match="job failure propagates"):
-        run_campaign(
-            CampaignSpec(name="partial", jobs=jobs), jobs=2, batch=4, store=cache
-        )
-    reloaded = ResultStore(cache)
-    # the failing batch's finished prefix was committed before the raise
-    assert jobs[0].key in reloaded
-    assert jobs[1].key in reloaded
-    assert jobs[3].key not in reloaded
+    # the pool's one four-job batch and the in-process one-job batches
+    # land through the same commit loop
+    for mode, dispatch in (("pool", {"jobs": 2, "batch": 4}), ("local", {})):
+        cache = tmp_path / f"{mode}.d"
+        with pytest.raises(RuntimeError, match="job failure propagates"):
+            run_campaign(
+                CampaignSpec(name="partial", jobs=jobs), store=cache, **dispatch
+            )
+        reloaded = ResultStore(cache)
+        # every job finished before the failure was committed before
+        # the raise, and nothing after it ran
+        assert jobs[0].key in reloaded
+        assert jobs[1].key in reloaded
+        assert jobs[3].key not in reloaded
 
 
 def test_explicit_batch_validation():

@@ -339,6 +339,29 @@ def test_cache_on_a_regular_file_exits_2(capsys, tmp_path):
         assert err.count("\n") == 1 and f"{path} is a file" in err
 
 
+def test_out_of_range_dispatch_flags_exit_2(capsys):
+    campaign = ["campaign", "startups", "--scale", "0.05", "--stage", "Base"]
+    for args, message in (
+        (campaign + ["--job-timeout", "0"], "--job-timeout must be > 0"),
+        (campaign + ["--retries", "-1"], "--retries must be >= 0"),
+        (campaign + ["--batch", "0"], "--batch must be >= 1"),
+        (campaign + ["--jobs", "0"], "--jobs must be >= 1"),
+        (["run", "lab", "--jobs", "0", "--stage", "Base"], "--jobs must be >= 1"),
+        (["chaos", "--quick", "--jobs", "-2"], "--jobs must be >= 1"),
+    ):
+        assert main(args) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""  # rejected before anything ran
+        assert captured.err.count("\n") == 1 and message in captured.err
+
+
+def test_triage_crowd_mode_requires_active(capsys):
+    assert main(["triage", "lab", "--crowd-mode", "cohort"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "--crowd-mode requires --active" in captured.err
+
+
 def test_parser_rejects_unknown_registry_stage_and_planner():
     with pytest.raises(SystemExit):
         build_parser().parse_args(["run", "qtnp", "--stage", "Teleport"])
